@@ -26,7 +26,6 @@ use crate::syntax::{self, Structure};
 /// alloc rollups), not a style preference.
 pub const HOT_MODULES: &[&str] = &[
     "crates/solver/src/sdp.rs",
-    "crates/solver/src/batch.rs",
     "crates/solver/src/eigen.rs",
     "crates/solver/src/cholesky.rs",
     "crates/solver/src/matrix.rs",

@@ -14,7 +14,7 @@
 //!    and mentions every pipeline stage at least once;
 //! 2. every metrics sample line parses as `name{labels} value` with a
 //!    finite value, and the per-stage wall metric is present;
-//! 3. `BENCH_cpla.json` parses, carries `schema` 2, every mode's
+//! 3. `BENCH_cpla.json` parses, carries `schema` 3, every mode's
 //!    `stages` object has exactly the eight pipeline stage keys, and
 //!    every mode's `peak_alloc_bytes` is a number when `alloc_stats`
 //!    is `true` and `null`/absent when it is `false`;
@@ -204,8 +204,8 @@ fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
         .get("schema")
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("{path}: missing numeric `schema`"))?;
-    if schema != 2 {
-        return Err(format!("{path}: unsupported schema {schema} (expected 2)"));
+    if schema != 3 {
+        return Err(format!("{path}: unsupported schema {schema} (expected 3)"));
     }
     let modes = mode_map(&root, path)?;
     let mut expected: Vec<String> = Stage::ALL.iter().map(|s| s.name().to_string()).collect();
@@ -247,7 +247,7 @@ fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
         }
     }
     let mut summary = format!(
-        "bench {path}: schema 2, {} mode(s), stage keys ok",
+        "bench {path}: schema 3, {} mode(s), stage keys ok",
         modes.len()
     );
     if let Some(base_path) = baseline {

@@ -10,8 +10,6 @@
 //! Flags (all optional): `--seed N`, `--nets N`, `--size WxH`,
 //! `--layers N`, `--capacity N`, `--threads N`, `--ratio F`,
 //! `--rounds N`, `--mode both|legacy|incremental`,
-//! `--solve-backend both|per-leaf|batched` (Solve-stage execution
-//! shape; `both` benches the full mode × backend matrix),
 //! `--trace <file.jsonl>` (per-stage JSON-lines trace),
 //! `--alloc-stats` (per-span allocation accounting),
 //! `--trace-chrome <file.json>` (Chrome `trace_event` span dump for
@@ -27,7 +25,7 @@ use std::io::{BufWriter, Write};
 use std::time::Instant;
 
 use cpla::{Cpla, CplaConfig, CplaReport, PipelineMode, PipelineStats};
-use flow::{RoundSnapshot, SolveBackend, Stage, StageObserver};
+use flow::{RoundSnapshot, Stage, StageObserver};
 use grid::Grid;
 use ispd::SyntheticConfig;
 use net::{Assignment, Netlist};
@@ -133,7 +131,6 @@ struct Args {
     rounds: usize,
     reps: usize,
     mode: String,
-    solve_backend: String,
     trace: Option<String>,
     alloc_stats: bool,
     trace_chrome: Option<String>,
@@ -165,7 +162,6 @@ impl Default for Args {
             rounds: 8,
             reps: 3,
             mode: "both".to_string(),
-            solve_backend: "both".to_string(),
             trace: None,
             alloc_stats: false,
             trace_chrome: None,
@@ -207,14 +203,6 @@ fn parse_args() -> Args {
             "--rounds" => args.rounds = value("--rounds").parse().unwrap(),
             "--reps" => args.reps = value("--reps").parse().unwrap(),
             "--mode" => args.mode = value("--mode"),
-            "--solve-backend" => {
-                let v = value("--solve-backend");
-                if !matches!(v.as_str(), "both" | "per-leaf" | "batched") {
-                    eprintln!("--solve-backend expects both|per-leaf|batched, got {v}");
-                    std::process::exit(2);
-                }
-                args.solve_backend = v;
-            }
             "--trace" => args.trace = Some(value("--trace")),
             "--alloc-stats" => args.alloc_stats = true,
             "--trace-chrome" => args.trace_chrome = Some(value("--trace-chrome")),
@@ -252,7 +240,6 @@ fn parse_args() -> Args {
                      [--layers N] [--capacity N] [--threads N] [--ratio F] \
                      [--rounds N] [--reps N] \
                      [--mode both|legacy|incremental] \
-                     [--solve-backend both|per-leaf|batched] \
                      [--trace file.jsonl] \
                      [--alloc-stats] [--trace-chrome file.json] \
                      [--metrics file.txt] [--bench-json file|none] \
@@ -282,11 +269,9 @@ struct RunOutcome {
     wire_overflow: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_mode(
     args: &Args,
     mode: PipelineMode,
-    solve_backend: SolveBackend,
     label: &'static str,
     grid: &Grid,
     netlist: &Netlist,
@@ -298,7 +283,6 @@ fn run_mode(
         max_rounds: args.rounds,
         threads: args.threads,
         mode,
-        solve_backend,
         alloc_stats: args.alloc_stats,
         ..CplaConfig::default()
     };
@@ -352,21 +336,12 @@ fn run_assigner(
     assignment: &Assignment,
 ) -> String {
     let make = || -> Box<dyn flow::LayerAssigner> {
-        let solve_backend = if args.solve_backend == "batched" {
-            SolveBackend::Batched
-        } else {
-            SolveBackend::PerLeaf
-        };
         match name {
             "tila" => Box::new(conform::tila_backend(args.ratio)),
             "lagrange" => Box::new(conform::lagrange_backend(args.ratio)),
             "greedy" => Box::new(conform::greedy_backend(args.ratio)),
             // invariant: parse_args rejected every other name.
-            _ => Box::new(conform::race_backend(
-                args.ratio,
-                args.threads,
-                solve_backend,
-            )),
+            _ => Box::new(conform::race_backend(args.ratio, args.threads)),
         }
     };
     let mut best: Option<(f64, flow::FlowReport, u64, u64)> = None;
@@ -408,8 +383,7 @@ fn json_stats(s: &PipelineStats) -> String {
          \"extract_secs\":{:.6},\"solve_secs\":{:.6},\"apply_secs\":{:.6},\
          \"metrics_secs\":{:.6},\"rounds\":{},\"partitions_solved\":{},\
          \"partitions_reused\":{},\"cache_hit_rate\":{:.4},\
-         \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{},\
-         \"batch_sweeps\":{},\"batch_retired_early\":{}}}",
+         \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{}}}",
         s.context_secs,
         s.partition_secs,
         s.extract_secs,
@@ -423,8 +397,6 @@ fn json_stats(s: &PipelineStats) -> String {
         s.evaluations,
         s.gate_accepted,
         s.gate_rejected,
-        s.batch_sweeps,
-        s.batch_retired_early,
     )
 }
 
@@ -473,8 +445,7 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
          \"avg_tcp_final\":{:.6},\"max_tcp_final\":{:.6},\
          \"via_overflow\":{},\"via_count\":{},\"wire_overflow\":{},\
          \"rounds\":{},\"released\":{},\"peak_alloc_bytes\":{},\
-         \"solve_secs\":{:.6},\"batch_sweeps\":{},\
-         \"batch_retired_early\":{},\"stages\":{{{}}}}}",
+         \"solve_secs\":{:.6},\"stages\":{{{}}}}}",
         o.wall_secs,
         o.report.initial_metrics.avg_tcp,
         o.report.final_metrics.avg_tcp,
@@ -490,8 +461,6 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
             "null".to_string()
         },
         o.report.stats.solve_secs,
-        o.report.stats.batch_sweeps,
-        o.report.stats.batch_retired_early,
         stages,
     )
 }
@@ -506,10 +475,10 @@ fn json_bench(args: &Args, modes: &[(&str, &RunOutcome)], thread_scaling: Option
         .collect::<Vec<_>>()
         .join(",");
     format!(
-        "{{\n\"schema\":2,\n\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\
+        "{{\n\"schema\":3,\n\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\
          \"height\":{},\"layers\":{},\"capacity\":{},\"preset\":{}}},\n\
          \"threads\":{},\"reps\":{},\"ratio\":{},\"rounds\":{},\
-         \"alloc_stats\":{},\"solve_backend\":\"{}\",\
+         \"alloc_stats\":{},\
          \"thread_scaling\":{},\n\"modes\":{{{}}}\n}}\n",
         args.seed,
         args.nets,
@@ -525,7 +494,6 @@ fn json_bench(args: &Args, modes: &[(&str, &RunOutcome)], thread_scaling: Option
         args.ratio,
         args.rounds,
         args.alloc_stats,
-        args.solve_backend,
         thread_scaling.unwrap_or("null"),
         mode_objs,
     )
@@ -580,46 +548,20 @@ fn main() {
 
     let mut trace = args.trace.as_deref().map(JsonlTrace::create);
 
-    // The bench matrix: pipeline mode × solve backend. Per-leaf cells
-    // keep their historical labels; batched cells are suffixed so the
-    // baseline diff in CI treats them as distinct entries.
     let mode_on = |m: &str| args.mode == "both" || args.mode == m;
-    let backend_on = |b: &str| args.solve_backend == "both" || args.solve_backend == b;
-    let cell_on = |mode: PipelineMode, backend: SolveBackend| {
-        let m = match mode {
-            PipelineMode::Legacy => "legacy",
-            PipelineMode::Incremental => "incremental",
-        };
-        mode_on(m) && backend_on(backend.name())
-    };
-    let cells: [(&'static str, PipelineMode, SolveBackend); 4] = [
-        ("legacy", PipelineMode::Legacy, SolveBackend::PerLeaf),
-        (
-            "incremental",
-            PipelineMode::Incremental,
-            SolveBackend::PerLeaf,
-        ),
-        (
-            "legacy+batched",
-            PipelineMode::Legacy,
-            SolveBackend::Batched,
-        ),
-        (
-            "incremental+batched",
-            PipelineMode::Incremental,
-            SolveBackend::Batched,
-        ),
+    let cells: [(&'static str, PipelineMode); 2] = [
+        ("legacy", PipelineMode::Legacy),
+        ("incremental", PipelineMode::Incremental),
     ];
     let outcomes: Vec<(&'static str, RunOutcome)> = cells
         .into_iter()
-        .filter(|&(_, mode, backend)| cell_on(mode, backend))
-        .map(|(label, mode, backend)| {
+        .filter(|&(label, _)| mode_on(label))
+        .map(|(label, mode)| {
             (
                 label,
                 run_mode(
                     &args,
                     mode,
-                    backend,
                     label,
                     &grid,
                     &netlist,
@@ -645,14 +587,14 @@ fn main() {
     // and record the wall ratio. This is the shard-scaling evidence the
     // scale presets exist to collect.
     let thread_scaling = args.compare_threads.map(|n| {
-        let (label, mode, backend) = cells
+        let (label, mode) = cells
             .into_iter()
-            .find(|&(_, mode, backend)| cell_on(mode, backend))
+            .find(|&(label, _)| mode_on(label))
             .unwrap_or(cells[1]);
         let run_at = |threads: usize| {
             let mut a = args.clone();
             a.threads = threads;
-            run_mode(&a, mode, backend, label, &grid, &netlist, &assignment, None)
+            run_mode(&a, mode, label, &grid, &netlist, &assignment, None)
         };
         let base = run_at(1);
         let scaled = run_at(n.max(1));
@@ -710,23 +652,6 @@ fn main() {
             .map(|name| run_assigner(&args, name, &grid, &netlist, &assignment))
             .collect();
         fields.push(format!("\"assigners\":{{{}}}", rows.join(",")));
-    }
-    // The backend comparison the batched path exists for: Solve+PostMap
-    // wall of the batched cell over its per-leaf twin, per mode.
-    for (per_leaf_label, batched_label, key) in [
-        ("legacy", "legacy+batched", "batched_solve_ratio_legacy"),
-        (
-            "incremental",
-            "incremental+batched",
-            "batched_solve_ratio_incremental",
-        ),
-    ] {
-        if let (Some(p), Some(b)) = (find(per_leaf_label), find(batched_label)) {
-            fields.push(format!(
-                "\"{key}\":{:.3}",
-                b.report.stats.solve_secs / p.report.stats.solve_secs.max(1e-12)
-            ));
-        }
     }
     println!("{{{}}}", fields.join(","));
 }

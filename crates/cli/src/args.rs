@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use flow::SolveBackend;
-
 /// Which engine `optimize` runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Engine {
@@ -71,8 +69,7 @@ pub enum Command {
         input: String,
     },
     /// `optimize <file> [--assigner cpla|tila|lagrange|greedy|race] [--ratio R]
-    /// [--engine sdp|ilp|tila] [--solve-backend per-leaf|batched]
-    /// [--neighbors] [--threads N] [--alpha A] [--node-budget N]
+    /// [--engine sdp|ilp|tila] [--neighbors] [--threads N] [--alpha A] [--node-budget N]
     /// [--trace-chrome FILE] [--metrics FILE]`: run incremental layer
     /// assignment through the `LayerAssigner` seam.
     Optimize {
@@ -85,8 +82,6 @@ pub enum Command {
         ratio: f64,
         /// CPLA solver selection.
         engine: Engine,
-        /// CPLA Solve-stage execution shape (per-leaf or batched SoA).
-        solve_backend: SolveBackend,
         /// Enable the neighbor-release extension.
         neighbors: bool,
         /// Partition-solver threads.
@@ -134,7 +129,6 @@ USAGE:
   cpla-cli optimize <file.ispd> [--assigner cpla|tila|lagrange|greedy|race]
                                 [--ratio 0.005]
                                 [--engine sdp|ilp|tila]
-                                [--solve-backend per-leaf|batched]
                                 [--neighbors] [--threads N]
                                 [--alpha A] [--node-budget N]
                                 [--trace-chrome out.json] [--metrics out.txt]
@@ -182,7 +176,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut assigner = None;
             let mut ratio = 0.005f64;
             let mut engine = Engine::Sdp;
-            let mut solve_backend = SolveBackend::PerLeaf;
             let mut neighbors = false;
             let mut threads = 1usize;
             let mut alpha: Option<f64> = None;
@@ -217,11 +210,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             "tila" => Engine::Tila,
                             other => return Err(format!("unknown engine `{other}`")),
                         };
-                    }
-                    "--solve-backend" => {
-                        let v = it.next().ok_or("--solve-backend needs a value")?;
-                        solve_backend = SolveBackend::parse(v)
-                            .ok_or_else(|| format!("unknown solve backend `{v}`"))?;
                     }
                     "--neighbors" => neighbors = true,
                     "--threads" => {
@@ -261,7 +249,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 assigner,
                 ratio,
                 engine,
-                solve_backend,
                 neighbors,
                 threads,
                 alpha,
@@ -342,7 +329,6 @@ mod tests {
                 assigner: Assigner::Cpla,
                 ratio: 0.005,
                 engine: Engine::Sdp,
-                solve_backend: SolveBackend::PerLeaf,
                 neighbors: false,
                 threads: 1,
                 alpha: None,
@@ -370,7 +356,6 @@ mod tests {
                 assigner: Assigner::Tila,
                 ratio: 0.02,
                 engine: Engine::Tila,
-                solve_backend: SolveBackend::PerLeaf,
                 neighbors: true,
                 threads: 4,
                 alpha: None,
@@ -379,20 +364,6 @@ mod tests {
                 metrics: None,
             }
         );
-    }
-
-    #[test]
-    fn optimize_parses_solve_backend() {
-        let c = parse(&v(&["optimize", "d.ispd", "--solve-backend", "batched"])).unwrap();
-        assert!(matches!(
-            c,
-            Command::Optimize {
-                solve_backend: SolveBackend::Batched,
-                ..
-            }
-        ));
-        assert!(parse(&v(&["optimize", "d", "--solve-backend", "magic"])).is_err());
-        assert!(parse(&v(&["optimize", "d", "--solve-backend"])).is_err());
     }
 
     #[test]

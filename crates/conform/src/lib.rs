@@ -24,7 +24,6 @@ pub mod oracle;
 pub mod props;
 pub mod shrink;
 
-pub use cpla::SolveBackend;
 use cpla::{Cpla, CplaConfig};
 use flow::{Cancel, FlowReport, Greedy, GreedyConfig, Instance, LayerAssigner, Metrics};
 use lagrange::{Lagrange, LagrangeConfig};
@@ -51,11 +50,6 @@ pub struct TrialConfig {
     /// Greedy is the latency floor, not a quality engine — its bound
     /// only catches pathological regressions.
     pub greedy_gap_bound: f64,
-    /// Solve backend of the CPLA engine under test. The backends are
-    /// bit-identical (every trial cross-checks them regardless of this
-    /// setting), so the choice only decides which execution shape the
-    /// full gate battery exercises.
-    pub solve_backend: SolveBackend,
 }
 
 impl Default for TrialConfig {
@@ -82,7 +76,6 @@ impl Default for TrialConfig {
             // when an engine legitimately moves.
             lagrange_gap_bound: 0.06,
             greedy_gap_bound: 0.50,
-            solve_backend: SolveBackend::PerLeaf,
         }
     }
 }
@@ -167,16 +160,10 @@ impl TrialOutcome {
 /// release ratio, single-threaded, *without* neighbor release so the
 /// engine optimizes exactly the net set the oracle enumerates.
 pub fn cpla_backend(critical_ratio: f64, threads: usize) -> Cpla {
-    cpla_backend_with(critical_ratio, threads, SolveBackend::PerLeaf)
-}
-
-/// [`cpla_backend`] with an explicit Solve-stage execution shape.
-pub fn cpla_backend_with(critical_ratio: f64, threads: usize, solve_backend: SolveBackend) -> Cpla {
     Cpla::new(CplaConfig {
         critical_ratio,
         threads,
         release_neighbors: false,
-        solve_backend,
         ..CplaConfig::default()
     })
 }
@@ -206,11 +193,11 @@ pub fn greedy_backend(critical_ratio: f64) -> Greedy {
 /// The full racing portfolio as conformance runs assemble it — the
 /// same four backends the solo gates exercise, in precedence order
 /// [cpla, tila, lagrange, greedy], sharing one cancellation flag.
-pub fn race_backend(critical_ratio: f64, threads: usize, solve_backend: SolveBackend) -> Race {
+pub fn race_backend(critical_ratio: f64, threads: usize) -> Race {
     let cancel = Cancel::new();
     Race::with_cancel(
         vec![
-            Box::new(cpla_backend_with(critical_ratio, threads, solve_backend)),
+            Box::new(cpla_backend(critical_ratio, threads)),
             Box::new(tila_backend(critical_ratio)),
             Box::new(Lagrange::cancellable(
                 LagrangeConfig {
@@ -283,7 +270,7 @@ pub fn check_workload(cfg: &TrialConfig, workload: &Workload, rng: &mut Rng) -> 
         }
     };
 
-    let cpla1 = cpla_backend_with(workload.critical_ratio, 1, cfg.solve_backend);
+    let cpla1 = cpla_backend(workload.critical_ratio, 1);
     let tila = tila_backend(workload.critical_ratio);
     let lagrange = lagrange_backend(workload.critical_ratio);
     let greedy = greedy_backend(workload.critical_ratio);
@@ -396,9 +383,8 @@ pub fn check_workload(cfg: &TrialConfig, workload: &Workload, rng: &mut Rng) -> 
     }
 
     relabel_timing_check(workload, rng, &mut out);
-    parallel_determinism_check(cfg, workload, &inst, &mut out);
-    backend_equivalence_check(workload, &inst, &mut out);
-    race_differential_check(cfg, workload, &inst, &mut out);
+    parallel_determinism_check(workload, &inst, &mut out);
+    race_differential_check(workload, &inst, &mut out);
 
     out
 }
@@ -412,16 +398,11 @@ pub fn check_workload(cfg: &TrialConfig, workload: &Workload, rng: &mut Rng) -> 
 /// 3. rerunning the race with the CPLA lane at 4 threads must be
 ///    bit-identical to the single-threaded race (the lane itself is
 ///    thread-count deterministic, so the race must be too).
-fn race_differential_check(
-    cfg: &TrialConfig,
-    workload: &Workload,
-    inst: &Instance,
-    out: &mut TrialOutcome,
-) {
+fn race_differential_check(workload: &Workload, inst: &Instance, out: &mut TrialOutcome) {
     let baseline = Baseline::measure(inst.grid(), inst.netlist(), inst.assignment());
 
     // Solo runs, in the portfolio's precedence order.
-    let cpla1 = cpla_backend_with(workload.critical_ratio, 1, cfg.solve_backend);
+    let cpla1 = cpla_backend(workload.critical_ratio, 1);
     let tila = tila_backend(workload.critical_ratio);
     let lagrange = lagrange_backend(workload.critical_ratio);
     let greedy = greedy_backend(workload.critical_ratio);
@@ -450,7 +431,7 @@ fn race_differential_check(
         }
     }
 
-    let race1 = race_backend(workload.critical_ratio, 1, cfg.solve_backend);
+    let race1 = race_backend(workload.critical_ratio, 1);
     let mut raced = inst.clone();
     let race_result = raced.run(&race1);
 
@@ -509,7 +490,7 @@ fn race_differential_check(
 
     // Thread-count independence of the whole race: the CPLA lane at 4
     // threads is bit-identical solo, so the race must be too.
-    let race4 = race_backend(workload.critical_ratio, 4, cfg.solve_backend);
+    let race4 = race_backend(workload.critical_ratio, 4);
     let mut raced4 = inst.clone();
     match raced4.run(&race4) {
         Ok(report4) => {
@@ -667,15 +648,10 @@ fn run_and_verify(
 }
 
 /// CPLA's serial == parallel guarantee: thread count must not change a
-/// single bit of the result (checked on the configured solve backend).
-fn parallel_determinism_check(
-    cfg: &TrialConfig,
-    workload: &Workload,
-    inst: &Instance,
-    out: &mut TrialOutcome,
-) {
-    let serial = cpla_backend_with(workload.critical_ratio, 1, cfg.solve_backend);
-    let parallel = cpla_backend_with(workload.critical_ratio, 4, cfg.solve_backend);
+/// single bit of the result.
+fn parallel_determinism_check(workload: &Workload, inst: &Instance, out: &mut TrialOutcome) {
+    let serial = cpla_backend(workload.critical_ratio, 1);
+    let parallel = cpla_backend(workload.critical_ratio, 4);
     let mut a = inst.clone();
     let mut b = inst.clone();
     match (a.run(&serial), b.run(&parallel)) {
@@ -700,45 +676,6 @@ fn parallel_determinism_check(
                 assigner: "cpla",
                 detail: format!(
                     "threads=1 and threads=4 disagreed on success: {:?} vs {:?}",
-                    ra.map(|r| r.final_metrics),
-                    rb.map(|r| r.final_metrics)
-                ),
-            });
-        }
-    }
-}
-
-/// The solve-backend bit-identity guarantee: the batched SoA backend
-/// and the per-leaf baseline must agree on every bit of the gated
-/// report — same assignment, same `avg_tcp` bit pattern, and the same
-/// success/failure verdict on every trial.
-fn backend_equivalence_check(workload: &Workload, inst: &Instance, out: &mut TrialOutcome) {
-    let per_leaf = cpla_backend_with(workload.critical_ratio, 1, SolveBackend::PerLeaf);
-    let batched = cpla_backend_with(workload.critical_ratio, 1, SolveBackend::Batched);
-    let mut a = inst.clone();
-    let mut b = inst.clone();
-    match (a.run(&per_leaf), b.run(&batched)) {
-        (Ok(ra), Ok(rb)) => {
-            if !assignments_identical(&a, &b)
-                || ra.final_metrics.avg_tcp.to_bits() != rb.final_metrics.avg_tcp.to_bits()
-            {
-                out.failures.push(Failure {
-                    class: FailureClass::PropertyViolation,
-                    assigner: "cpla",
-                    detail: format!(
-                        "per-leaf and batched solve backends diverged: avg_tcp {} vs {}",
-                        ra.final_metrics.avg_tcp, rb.final_metrics.avg_tcp
-                    ),
-                });
-            }
-        }
-        (Err(_), Err(_)) => {}
-        (ra, rb) => {
-            out.failures.push(Failure {
-                class: FailureClass::PropertyViolation,
-                assigner: "cpla",
-                detail: format!(
-                    "per-leaf and batched solve backends disagreed on success: {:?} vs {:?}",
                     ra.map(|r| r.final_metrics),
                     rb.map(|r| r.final_metrics)
                 ),

@@ -21,7 +21,7 @@ struct Args {
 
 const USAGE: &str = "usage: cpla-conform [--trials N] [--seed S] [--max-combos M] \
 [--gap-bound G] [--lagrange-gap-bound G] [--greedy-gap-bound G] \
-[--backend per-leaf|batched] [--out DIR] [--verbose]";
+[--out DIR] [--verbose]";
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
@@ -57,12 +57,6 @@ fn parse_args() -> Result<Args, String> {
                 args.cfg.greedy_gap_bound = v
                     .parse::<f64>()
                     .map_err(|_| format!("--greedy-gap-bound: not a number: {v}"))?;
-            }
-            "--backend" => {
-                let v = value("--backend")?;
-                args.cfg.solve_backend = conform::SolveBackend::parse(&v).ok_or_else(|| {
-                    format!("--backend expects per-leaf|batched, got {v}\n{USAGE}")
-                })?;
             }
             "--out" => args.out_dir = PathBuf::from(value("--out")?),
             "--verbose" | "-v" => args.verbose = true,

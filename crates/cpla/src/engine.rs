@@ -21,7 +21,7 @@ use solver::SdpSolver;
 
 use crate::partition::PartitionStats;
 use crate::Metrics;
-use ::flow::{ConfigError, FlowError, SolveBackend, StageObserver};
+use ::flow::{ConfigError, FlowError, StageObserver};
 
 /// Which mathematical program solves each partition.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -119,14 +119,6 @@ pub struct CplaConfig {
     pub partition_shards: usize,
     /// Evaluation pipeline (see [`PipelineMode`]).
     pub mode: PipelineMode,
-    /// How the Solve stage executes its SDP relaxations: one solver
-    /// call per partition leaf ([`SolveBackend::PerLeaf`], the
-    /// comparison baseline) or all leaves of a round packed into a flat
-    /// structure-of-arrays arena and advanced in lock-step sweeps
-    /// ([`SolveBackend::Batched`], `solver::solve_batch`). The two
-    /// backends are bit-identical in their results; only wall time and
-    /// allocator traffic differ. Non-SDP solvers ignore the setting.
-    pub solve_backend: SolveBackend,
     /// Re-verify the paper's constraints (4b/4c/4d) and the incremental
     /// Elmore caches against from-scratch recomputation at every gate,
     /// failing the run with [`FlowError::Invariant`](::flow::FlowError)
@@ -167,7 +159,6 @@ impl Default for CplaConfig {
             threads: 1,
             partition_shards: 0,
             mode: PipelineMode::Incremental,
-            solve_backend: SolveBackend::PerLeaf,
             audit_invariants: false,
             alloc_stats: false,
         }
@@ -276,11 +267,6 @@ pub struct PipelineStats {
     pub gate_accepted: usize,
     /// Nets whose proposals the gate rejected.
     pub gate_rejected: usize,
-    /// Lock-step sweeps executed by the batched solve backend (zero
-    /// under [`SolveBackend::PerLeaf`]).
-    pub batch_sweeps: u64,
-    /// Batched-backend lanes that retired before their iteration cap.
-    pub batch_retired_early: u64,
 }
 
 impl PipelineStats {
@@ -515,37 +501,6 @@ mod tests {
         Cpla::new(serial).run(&mut g1, &nl1, &mut a1).unwrap();
         Cpla::new(parallel).run(&mut g2, &nl2, &mut a2).unwrap();
         assert_eq!(a1, a2, "thread count must not change the result");
-    }
-
-    #[test]
-    fn batched_backend_matches_per_leaf_bitwise() {
-        // Same fixture, same config, only the solve backend differs:
-        // the final assignments must agree exactly, at one thread and
-        // at four.
-        for threads in [1, 4] {
-            let (mut g1, nl1, mut a1) = fixture(6);
-            let (mut g2, nl2, mut a2) = fixture(6);
-            let per_leaf = CplaConfig {
-                critical_ratio: 0.05,
-                max_rounds: 3,
-                threads,
-                ..CplaConfig::default()
-            };
-            let batched = CplaConfig {
-                solve_backend: SolveBackend::Batched,
-                ..per_leaf
-            };
-            let r1 = Cpla::new(per_leaf).run(&mut g1, &nl1, &mut a1).unwrap();
-            let r2 = Cpla::new(batched).run(&mut g2, &nl2, &mut a2).unwrap();
-            assert_eq!(a1, a2, "backends diverged at threads={threads}");
-            assert_eq!(
-                r1.final_metrics.avg_tcp.to_bits(),
-                r2.final_metrics.avg_tcp.to_bits()
-            );
-            // The batched run actually ran batched (and vice versa).
-            assert!(r2.stats.batch_sweeps > 0);
-            assert_eq!(r1.stats.batch_sweeps, 0);
-        }
     }
 
     #[test]

@@ -19,12 +19,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use ::flow::{
-    FlowCounters, FlowError, LeafSpan, Metrics, RoundSnapshot, SolveBackend, SolveError, Stage,
-    StageObserver,
+    FlowCounters, FlowError, LeafSpan, Metrics, RoundSnapshot, SolveError, Stage, StageObserver,
 };
 use grid::{Grid, UsageSnapshot};
 use net::{Assignment, Netlist, SegmentRef};
-use solver::{solve_batch, BatchArena, BatchItem, SdpProblem, SdpSolver, SolveScratch, SymMatrix};
+use solver::{SolveScratch, WarmStart};
 use timing::TimingModel;
 
 use crate::context::{timing_context_into, SegCtx, SegCtxTable};
@@ -38,16 +37,17 @@ use crate::problem::PartitionProblem;
 /// A hit requires the freshly extracted problem to compare equal to
 /// `problem` — any drift in costs, candidates or capacities (because a
 /// neighboring partition's acceptance moved segments or usage) misses
-/// and re-solves, warm-started from `warm`.
+/// and re-solves, warm-started from `warm` (the PSD block plus the
+/// slack vectors of the last solve).
 struct CacheEntry {
     problem: PartitionProblem,
     result: Vec<(SegmentRef, usize)>,
-    warm: Option<(SymMatrix, SymMatrix)>,
+    warm: Option<WarmStart>,
 }
 
 /// A cache miss awaiting a solve: partition index, extracted problem,
 /// and the warm-start iterates of a stale cache entry (if any).
-type Miss = (usize, PartitionProblem, Option<(SymMatrix, SymMatrix)>);
+type Miss = (usize, PartitionProblem, Option<WarmStart>);
 
 /// What the Solve stage produces per miss, before post-mapping.
 enum RawSolve {
@@ -56,7 +56,7 @@ enum RawSolve {
     /// iterates for the cross-round warm start (SDP only).
     Relaxed {
         x: Vec<f64>,
-        warm: Option<(SymMatrix, SymMatrix)>,
+        warm: Option<WarmStart>,
     },
     /// An exact ILP solution (`None` when the node budget ran out, in
     /// which case PostMap keeps the current assignment).
@@ -255,7 +255,6 @@ pub(crate) fn stages_for(mode: PipelineMode) -> Vec<Box<dyn FlowStage>> {
         }),
         Box::new(SolveStage {
             rank_stop: incremental,
-            arena: BatchArena::new(),
             scratch: SolveScratch::new(),
         }),
         Box::new(PostMapStage {
@@ -433,47 +432,37 @@ impl FlowStage for ExtractStage {
 /// change any result.
 struct SolveStage {
     rank_stop: bool,
-    /// Batched-backend arena, kept across rounds so buffers that grew
-    /// in one round are reused (not reallocated) by the next.
-    arena: BatchArena,
-    /// Per-leaf solve scratch for the serial path, likewise kept
-    /// across rounds; parallel workers carry their own.
+    /// Per-leaf solve scratch for the serial path, kept across rounds
+    /// so buffers that grew in one round are reused by the next;
+    /// parallel workers carry their own.
     scratch: SolveScratch,
 }
 
 impl SolveStage {
-    /// Resolves the per-leaf ADMM configuration: the rank-stability
-    /// early stop ranks only the assignment-variable prefix (the slack
-    /// rows behind it never influence post-mapping), and the legacy
-    /// pipeline disables it entirely.
-    fn leaf_solver(rank_stop: bool, base: SdpSolver, problem: &PartitionProblem) -> SdpSolver {
-        let mut cfg = base;
-        if !rank_stop {
-            cfg.rank_stop_window = 0;
-        } else {
-            cfg.rank_stop_vars = problem.num_variables();
-        }
-        cfg
-    }
-
     /// Runs the configured mathematical program on one extracted
     /// problem, without rounding or acceptance (that is PostMap's job).
     fn solve_raw(
         rank_stop: bool,
         config: &CplaConfig,
         problem: &PartitionProblem,
-        warm: Option<&(SymMatrix, SymMatrix)>,
+        warm: Option<&WarmStart>,
         scratch: &mut SolveScratch,
     ) -> Result<RawSolve, SolveError> {
         match config.solver {
-            SolverKind::Sdp(base) => {
-                let sdp_config = Self::leaf_solver(rank_stop, base, problem);
+            SolverKind::Sdp(mut sdp_config) => {
+                // The rank-stability early stop ranks only the
+                // assignment variables (the slacks never influence
+                // post-mapping); the legacy pipeline disables it.
+                if rank_stop {
+                    sdp_config.rank_stop_vars = problem.num_variables();
+                } else {
+                    sdp_config.rank_stop_window = 0;
+                }
                 let (sdp, _) = problem.to_sdp();
-                let sol =
-                    sdp_config.try_solve_from_with(&sdp, warm.map(|w| (&w.0, &w.1)), scratch)?;
+                let sol = sdp_config.try_solve_from_with(&sdp, warm, scratch)?;
                 Ok(RawSolve::Relaxed {
                     x: sol.x.diagonal(),
-                    warm: Some((sol.z, sol.u)),
+                    warm: Some(sol.warm),
                 })
             }
             SolverKind::Ilp { node_budget } => Ok(RawSolve::Exact(
@@ -488,83 +477,6 @@ impl SolveStage {
             }),
         }
     }
-
-    /// The batched Solve backend: packs every miss of the round into
-    /// [`solve_batch`]'s flat structure-of-arrays arena and advances
-    /// all of them in lock-step sweeps. Per lane the floating-point
-    /// sequence is exactly the per-leaf path's, so the two backends
-    /// produce bit-identical raw solutions; only wall time, span shape
-    /// (one [`LeafSpan`] per shard instead of per partition) and
-    /// allocator traffic differ.
-    fn run_batched(&mut self, ctx: &mut FlowContext<'_>, base: SdpSolver) -> Result<(), FlowError> {
-        let round = ctx.round;
-        let rank_stop = self.rank_stop;
-        let anchor = Instant::now();
-        let alloc0 = obs::alloc::thread_stats();
-        if ctx.misses.is_empty() {
-            ctx.raw = Vec::new();
-            return Ok(());
-        }
-
-        // Lane extraction runs serially on the driver: the standard-form
-        // SDPs and per-lane configurations (rank fields depend on each
-        // problem's variable count) are built once, then borrowed by the
-        // batch items.
-        let sdps: Vec<(SdpProblem, SdpSolver)> = ctx
-            .misses
-            .iter()
-            .map(|(_, problem, _)| {
-                let cfg = Self::leaf_solver(rank_stop, base, problem);
-                let (sdp, _) = problem.to_sdp();
-                (sdp, cfg)
-            })
-            .collect();
-        let items: Vec<BatchItem<'_>> = sdps
-            .iter()
-            .zip(ctx.misses.iter())
-            .map(|((sdp, cfg), (_, _, warm))| BatchItem {
-                solver: *cfg,
-                problem: sdp,
-                warm: warm.as_ref().map(|w| (&w.0, &w.1)),
-            })
-            .collect();
-        let setup_secs = anchor.elapsed().as_secs_f64();
-
-        let outcome = solve_batch(&items, ctx.config.threads, &mut self.arena);
-        drop(items);
-        // Shard workers allocate nothing inside their sweeps; the
-        // driver-side delta (lane extraction, arena growth, solution
-        // finalization) is the whole allocator story and is attributed
-        // to the first shard's span.
-        let alloc = obs::alloc::thread_stats().since(alloc0);
-
-        for (si, sh) in outcome.shards.iter().enumerate() {
-            ctx.leaves.push(LeafSpan {
-                round,
-                stage: Stage::Solve,
-                index: si,
-                items: sh.lanes,
-                thread: si,
-                start_secs: setup_secs + sh.start_secs,
-                dur_secs: sh.secs,
-                alloc_bytes: if si == 0 { alloc.bytes } else { 0 },
-                alloc_events: if si == 0 { alloc.events } else { 0 },
-            });
-        }
-        ctx.counters.batch_sweeps += outcome.sweeps;
-        ctx.counters.batch_retired_early += outcome.retired_early;
-        ctx.raw = outcome
-            .results
-            .into_iter()
-            .map(|r| {
-                r.map(|sol| RawSolve::Relaxed {
-                    x: sol.x.diagonal(),
-                    warm: Some((sol.z, sol.u)),
-                })
-            })
-            .collect::<Result<Vec<_>, SolveError>>()?;
-        Ok(())
-    }
 }
 
 impl FlowStage for SolveStage {
@@ -573,14 +485,6 @@ impl FlowStage for SolveStage {
     }
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        // The batched backend only covers the SDP relaxation; the exact
-        // ILP and the uniform-relaxation ablation keep the per-leaf
-        // execution shape regardless of the configured backend.
-        if ctx.config.solve_backend == SolveBackend::Batched {
-            if let SolverKind::Sdp(base) = ctx.config.solver {
-                return self.run_batched(ctx, base);
-            }
-        }
         let rank_stop = self.rank_stop;
         let config = &ctx.config;
         let misses = &ctx.misses;
@@ -971,8 +875,6 @@ impl StageObserver for StatsCollector {
         self.stats.evaluations = c.evaluations;
         self.stats.gate_accepted = c.gate_accepted;
         self.stats.gate_rejected = c.gate_rejected;
-        self.stats.batch_sweeps = c.batch_sweeps;
-        self.stats.batch_retired_early = c.batch_retired_early;
     }
 }
 

@@ -56,4 +56,4 @@ pub use engine::{
 };
 // Engine-neutral pieces now live in the workspace-level `flow` crate;
 // re-exported so existing `cpla::Metrics` paths keep working.
-pub use ::flow::{select_critical_nets, FlowError, Metrics, SolveBackend};
+pub use ::flow::{select_critical_nets, FlowError, Metrics};

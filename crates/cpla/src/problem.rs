@@ -19,7 +19,7 @@
 //! The same neutral structure lowers to both solvers:
 //! [`PartitionProblem::to_choice_problem`] (branch-and-bound ILP) and
 //! [`PartitionProblem::to_sdp`] (the relaxation (5)–(7), slack variables
-//! on extra diagonal entries).
+//! in the SDP's LP block).
 
 use std::collections::HashMap;
 
@@ -417,7 +417,8 @@ impl PartitionProblem {
     /// Lowers to the SDP relaxation (5)–(7): `x_ij` on the diagonal,
     /// via costs split across the symmetric off-diagonal entries,
     /// assignment rows, and edge-capacity rows closed with slack
-    /// variables on extra diagonal entries.
+    /// variables in the LP block (diagonal indices after the assignment
+    /// variables), so the PSD block holds the assignment variables only.
     ///
     /// Returns the SDP plus the variable offset of each segment (the
     /// diagonal position of its first candidate).
@@ -433,9 +434,7 @@ impl PartitionProblem {
             .iter()
             .filter(|ec| (ec.limit as usize) < ec.members.len())
             .collect();
-        let dim = n + binding.len();
-
-        let mut t = SymMatrix::zeros(dim);
+        let mut t = SymMatrix::zeros(n);
         for (i, costs) in self.linear_cost.iter().enumerate() {
             for (c, &cost) in costs.iter().enumerate() {
                 t.set(offsets[i] + c, offsets[i] + c, cost);
@@ -450,7 +449,7 @@ impl PartitionProblem {
             }
         }
 
-        let mut sdp = SdpProblem::new(t);
+        let mut sdp = SdpProblem::with_lp_block(t, binding.len());
         for (i, c) in self.candidates.iter().enumerate() {
             let entries: Vec<(usize, usize, f64)> = (0..c.len())
                 .map(|k| (offsets[i] + k, offsets[i] + k, 1.0))
@@ -658,6 +657,8 @@ mod tests {
             .filter(|ec| (ec.limit as usize) < ec.members.len())
             .count();
         assert_eq!(sdp.dim(), p.num_variables() + binding);
+        assert_eq!(sdp.psd_order(), p.num_variables());
+        assert_eq!(sdp.lp_len(), binding);
         assert_eq!(sdp.num_constraints(), p.segments.len() + binding);
         assert_eq!(offsets, vec![0, 2, 4]);
     }

@@ -39,7 +39,7 @@ pub use ispd::ParseError;
 pub use solver::SolveError;
 
 pub use metrics::Metrics;
-pub use observer::{FlowCounters, LeafSpan, RoundSnapshot, SolveBackend, Stage, StageObserver};
+pub use observer::{FlowCounters, LeafSpan, RoundSnapshot, Stage, StageObserver};
 pub use select::{select_critical_nets, select_critical_nets_flat, validate_ratio};
 
 use grid::Grid;

@@ -59,41 +59,6 @@ impl Stage {
     }
 }
 
-/// How an engine executes the Solve stage's relaxations.
-///
-/// The two backends are bit-identical in their results (pinned by the
-/// snapshot and conformance suites); they differ only in execution
-/// shape and therefore wall time and allocator traffic.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum SolveBackend {
-    /// One solver invocation per partition leaf, work-stealing across
-    /// threads. The comparison baseline.
-    #[default]
-    PerLeaf,
-    /// All leaves of a round packed into a flat structure-of-arrays
-    /// arena and advanced in lock-step sweeps (`solver::solve_batch`).
-    Batched,
-}
-
-impl SolveBackend {
-    /// Stable lower-case name (used in trace records and CLI flags).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveBackend::PerLeaf => "per-leaf",
-            SolveBackend::Batched => "batched",
-        }
-    }
-
-    /// Parses the CLI spelling produced by [`SolveBackend::name`].
-    pub fn parse(s: &str) -> Option<SolveBackend> {
-        match s {
-            "per-leaf" => Some(SolveBackend::PerLeaf),
-            "batched" => Some(SolveBackend::Batched),
-            _ => None,
-        }
-    }
-}
-
 /// Cumulative work counters of a flow run.
 ///
 /// Engines without a given mechanism leave its counter at zero.
@@ -109,12 +74,6 @@ pub struct FlowCounters {
     pub gate_accepted: usize,
     /// Net proposals the gate rejected.
     pub gate_rejected: usize,
-    /// Lock-step sweeps executed by the batched solve backend (zero
-    /// under [`SolveBackend::PerLeaf`]).
-    pub batch_sweeps: u64,
-    /// Batched-backend lanes that retired before their iteration cap
-    /// (convergence or rank-stability stop).
-    pub batch_retired_early: u64,
 }
 
 /// What an observer learns at the end of one outer round.

@@ -54,13 +54,6 @@ impl Cholesky {
         Ok(Cholesky { n, l })
     }
 
-    /// Wraps an already-computed factor (from [`factor_into`]) without
-    /// copying; the batched solver builds its per-lane factors this way.
-    pub(crate) fn from_raw(n: usize, l: Vec<f64>) -> Cholesky {
-        assert_eq!(l.len(), n * n);
-        Cholesky { n, l }
-    }
-
     /// Solves `A x = b` using the stored factor.
     ///
     /// # Panics
@@ -115,8 +108,7 @@ impl Cholesky {
 
 /// Factorizes the flat row-major `n × n` matrix `a` into the
 /// lower-triangular factor written to `l` (which must be zero-filled,
-/// length `n·n`). Shared by [`Cholesky::factor`] and the batched SoA
-/// arena, so the two paths compute identical factors.
+/// length `n·n`); the flat-storage kernel behind [`Cholesky::factor`].
 ///
 /// # Errors
 ///

@@ -67,8 +67,8 @@ pub fn eigen_decompose(m: &SymMatrix) -> Eigen {
 
 /// Householder reduction of a real symmetric matrix to tridiagonal form
 /// (Numerical Recipes `tred2`), operating on flat row-major `n × n`
-/// storage so both [`SymMatrix`] callers and the batched SoA arena can
-/// use it. On exit `a` holds the orthogonal matrix `Q` effecting the
+/// storage so the in-place PSD projection can run it on a block of a
+/// flat iterate. On exit `a` holds the orthogonal matrix `Q` effecting the
 /// reduction, `d` the diagonal and `e` the subdiagonal (with
 /// `e[0] = 0`).
 pub(crate) fn tred2(a: &mut [f64], n: usize, d: &mut [f64], e: &mut [f64]) {
@@ -230,9 +230,8 @@ pub fn eigen_decompose_jacobi(m: &SymMatrix) -> Eigen {
 /// Full cyclic-Jacobi diagonalization on flat row-major `n × n` storage:
 /// on exit the diagonal of `a` holds the (unsorted) eigenvalues and `v`
 /// the accumulated rotations (eigenvectors as columns; `v` is
-/// initialized to the identity here). Shared by
-/// [`eigen_decompose_jacobi`] and the batched kernel in
-/// `crate::batch`, so the two paths cannot drift apart.
+/// initialized to the identity here); the kernel behind
+/// [`eigen_decompose_jacobi`].
 pub(crate) fn jacobi_sweeps(a: &mut [f64], v: &mut [f64], n: usize) {
     v.fill(0.0);
     for i in 0..n {

@@ -10,8 +10,9 @@
 //!   dense symmetric linear algebra sized for per-partition problems
 //!   (matrix dimension ≲ a few hundred).
 //! * [`SdpProblem`] / [`SdpSolver`] — an ADMM (alternating direction
-//!   method of multipliers) solver for standard-form SDPs
-//!   `min ⟨C, X⟩ s.t. ⟨A_k, X⟩ = b_k, X ⪰ 0`.
+//!   method of multipliers) solver for block SDPs
+//!   `min ⟨C, X⟩ s.t. ⟨A_k, (X, s)⟩ = b_k, X ⪰ 0, s ≥ 0`, with a PSD
+//!   block `X` and a nonnegative LP block `s`.
 //! * [`ChoiceProblem`] / branch-and-bound — an exact, anytime solver for
 //!   the assignment-structured ILPs the paper sends to GUROBI.
 //!
@@ -35,7 +36,6 @@
 // rewrites would obscure them.
 #![allow(clippy::needless_range_loop)]
 
-mod batch;
 mod cholesky;
 mod eigen;
 mod error;
@@ -43,13 +43,9 @@ mod ilp;
 mod matrix;
 mod sdp;
 
-pub use batch::{
-    cholesky_factor_batch, jacobi_eigen_batch, solve_batch, BatchArena, BatchItem, BatchOutcome,
-    ShardStats,
-};
 pub use cholesky::{Cholesky, CholeskyError};
 pub use eigen::{eigen_decompose, eigen_decompose_jacobi, Eigen};
 pub use error::SolveError;
 pub use ilp::{CapacityGroup, ChoiceProblem, IlpSolution, PairCost, SoftGroup};
 pub use matrix::{psd_project, psd_project_in_place, PsdScratch, SymMatrix};
-pub use sdp::{SdpProblem, SdpSolution, SdpSolver, SolveScratch};
+pub use sdp::{SdpProblem, SdpSolution, SdpSolver, SolveScratch, WarmStart};

@@ -148,8 +148,8 @@ impl SymMatrix {
         &mut self.data
     }
 
-    /// Adopts flat row-major storage without copying; the batched
-    /// solver materializes its arena lanes into matrices this way.
+    /// Adopts flat row-major storage without copying; the SDP solver
+    /// hands out the PSD block of its flat iterates this way.
     pub(crate) fn from_raw(n: usize, data: Vec<f64>) -> SymMatrix {
         assert_eq!(data.len(), n * n);
         SymMatrix { n, data }

@@ -1,21 +1,30 @@
-//! ADMM solver for standard-form semidefinite programs.
+//! ADMM solver for block semidefinite programs.
 //!
-//! Solves `min ⟨C, X⟩ s.t. ⟨A_k, X⟩ = b_k (k = 1..m), X ⪰ 0` by the
-//! alternating direction method of multipliers with the splitting
-//! `X ∈ affine set`, `Z ∈ PSD cone`, `X = Z`:
+//! Solves `min ⟨C, X⟩ s.t. ⟨A_k, (X, s)⟩ = b_k (k = 1..m), X ⪰ 0, s ≥ 0`
+//! over a PSD block `X` and a nonnegative LP block `s` — CSDP's block
+//! layout, which keeps diagonal variables in an "LP block" beside the
+//! PSD block. The alternating direction method of multipliers splits
+//! `(X, s) ∈ affine set`, `(Z, z) ∈ cone`, `(X, s) = (Z, z)`:
 //!
 //! 1. **X-update** — Euclidean projection of `Z − U − C/ρ` onto the
 //!    affine set, via the pre-factorized constraint Gram matrix
 //!    `G_kl = ⟨A_k, A_l⟩`.
-//! 2. **Z-update** — projection of `X + U` onto the PSD cone
-//!    (eigenvalue clamping).
+//! 2. **Z-update** — projection of `X + U` onto the cone: eigenvalue
+//!    clamping on the PSD block, a clamp at zero on the LP block.
 //! 3. **U-update** — scaled dual ascent `U += X − Z`.
 //!
+//! Each iterate is one flat vector: the PSD block row-major, then the
+//! LP block. That is the storage order of the equivalent single-block
+//! SDP with the LP variables on trailing diagonal entries, so every
+//! norm sums its terms in the order the single-block form would; the
+//! eigendecomposition is the only pass that changes, and it shrinks to
+//! the PSD block.
+//!
 //! The returned `x` iterate satisfies the equality constraints to solver
-//! precision; `z` is exactly PSD. CPLA's post-mapping step only *ranks*
-//! diagonal entries, so the modest first-order accuracy of ADMM is
-//! sufficient — this is the substitution for the CSDP C library used by
-//! the paper (see `DESIGN.md` §2).
+//! precision; the `z` iterate is exactly in the cone. CPLA's post-mapping
+//! step only *ranks* diagonal entries, so the modest first-order accuracy
+//! of ADMM is sufficient — this is the substitution for the CSDP C
+//! library used by the paper (see `DESIGN.md` §2).
 
 use crate::matrix::{psd_project_in_place, PsdScratch};
 use crate::{Cholesky, SolveError, SymMatrix};
@@ -26,36 +35,58 @@ use crate::{Cholesky, SolveError, SymMatrix};
 /// variable: a coefficient `c` on an off-diagonal entry contributes
 /// `c · X_ij` to the constraint value (not `2c · X_ij`).
 #[derive(Clone, PartialEq, Debug)]
-pub(crate) struct Constraint {
+struct Constraint {
     /// `(i, j, coeff)` with `i <= j`, unique per constraint.
-    pub(crate) entries: Vec<(usize, usize, f64)>,
-    pub(crate) rhs: f64,
+    entries: Vec<(usize, usize, f64)>,
+    rhs: f64,
 }
 
-/// A standard-form SDP: cost matrix plus equality constraints.
+/// A block SDP: a cost matrix over the PSD block, a nonnegative LP
+/// block, and equality constraints over both.
 ///
-/// Inequalities are expected to be rewritten with slack variables placed
-/// on extra diagonal entries (PSD implies a non-negative diagonal), which
-/// is exactly how the paper folds edge-capacity rows into the objective
-/// matrix.
+/// Constraints address the variables as one symmetric matrix of order
+/// [`SdpProblem::dim`]: indices below [`SdpProblem::psd_order`] are PSD
+/// entries, and LP variable `k` is the diagonal entry
+/// `psd_order + k`. Inequalities are rewritten with slack variables in
+/// the LP block, which is how CPLA closes its edge-capacity rows. The
+/// LP variables carry no cost.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SdpProblem {
     cost: SymMatrix,
+    lp: usize,
     constraints: Vec<Constraint>,
 }
 
 impl SdpProblem {
-    /// Starts a problem with cost matrix `cost` (the paper's `T`).
+    /// Starts a problem with cost matrix `cost` (the paper's `T`) and no
+    /// LP block.
     pub fn new(cost: SymMatrix) -> SdpProblem {
+        SdpProblem::with_lp_block(cost, 0)
+    }
+
+    /// Starts a problem with PSD-block cost `cost` and `lp`
+    /// nonnegative, cost-free LP variables.
+    pub fn with_lp_block(cost: SymMatrix, lp: usize) -> SdpProblem {
         SdpProblem {
             cost,
+            lp,
             constraints: Vec::new(),
         }
     }
 
-    /// Dimension of the matrix variable.
+    /// Number of variables on the diagonal: PSD order plus LP length.
     pub fn dim(&self) -> usize {
+        self.cost.dim() + self.lp
+    }
+
+    /// Order of the PSD block.
+    pub fn psd_order(&self) -> usize {
         self.cost.dim()
+    }
+
+    /// Number of LP-block variables.
+    pub fn lp_len(&self) -> usize {
+        self.lp
     }
 
     /// Number of constraints added so far.
@@ -63,7 +94,7 @@ impl SdpProblem {
         self.constraints.len()
     }
 
-    /// The cost matrix.
+    /// The PSD-block cost matrix.
     pub fn cost(&self) -> &SymMatrix {
         &self.cost
     }
@@ -75,13 +106,16 @@ impl SdpProblem {
     ///
     /// # Panics
     ///
-    /// Panics if an index is out of range.
+    /// Panics if an index is out of range, or if an entry pairs an LP
+    /// variable with any index but itself.
     pub fn add_constraint(&mut self, entries: Vec<(usize, usize, f64)>, rhs: f64) {
         let n = self.dim();
+        let p = self.psd_order();
         let mut norm: Vec<(usize, usize, f64)> = Vec::with_capacity(entries.len());
         for (i, j, c) in entries {
             assert!(i < n && j < n, "constraint entry ({i},{j}) out of range");
             let (i, j) = if i <= j { (i, j) } else { (j, i) };
+            assert!(j < p || i == j, "LP-block entry ({i},{j}) must be diagonal");
             if let Some(e) = norm.iter_mut().find(|e| e.0 == i && e.1 == j) {
                 e.2 += c;
             } else {
@@ -91,56 +125,55 @@ impl SdpProblem {
         self.constraints.push(Constraint { entries: norm, rhs });
     }
 
-    /// Evaluates `⟨A_k, X⟩` for every constraint into `out` (cleared
-    /// first, so repeated calls reuse its capacity).
-    fn apply_into(&self, x: &SymMatrix, out: &mut Vec<f64>) {
+    /// Flat-iterate position of the (normalized) entry `(i, j)`.
+    #[inline]
+    fn slot(&self, i: usize, j: usize) -> usize {
+        let p = self.psd_order();
+        if j < p {
+            i * p + j
+        } else {
+            p * p + (i - p)
+        }
+    }
+
+    /// Evaluates `⟨A_k, v⟩` for every constraint on the flat iterate `v`
+    /// into `out` (cleared first, so repeated calls reuse its capacity).
+    fn apply_into(&self, v: &[f64], out: &mut Vec<f64>) {
         out.clear();
         out.extend(self.constraints.iter().map(|c| {
             c.entries
                 .iter()
-                .map(|&(i, j, coeff)| coeff * x.get(i, j))
+                .map(|&(i, j, coeff)| coeff * v[self.slot(i, j)])
                 .sum::<f64>()
         }));
     }
 
-    /// Accumulates `Σ_k nu_k · A_k` into a symmetric matrix.
-    fn adjoint(&self, nu: &[f64]) -> SymMatrix {
-        let mut out = SymMatrix::zeros(self.dim());
+    /// Overwrites the flat iterate `out` with `Σ_k nu_k · A_k`.
+    fn adjoint_into(&self, nu: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        let p = self.psd_order();
         for (c, &v) in self.constraints.iter().zip(nu) {
             for &(i, j, coeff) in &c.entries {
                 if i == j {
-                    out.add_to(i, i, v * coeff);
+                    out[self.slot(i, i)] += v * coeff;
                 } else {
                     // Split over the symmetric pair so that
                     // ⟨adjoint, X⟩ recovers Σ nu_k ⟨A_k, X⟩.
-                    out.add_to(i, j, v * coeff / 2.0);
+                    out[i * p + j] += v * coeff / 2.0;
+                    out[j * p + i] += v * coeff / 2.0;
                 }
             }
         }
-        out
-    }
-
-    /// The normalized constraint rows (batch backend input).
-    pub(crate) fn constraints_raw(&self) -> &[Constraint] {
-        &self.constraints
     }
 
     /// Builds the constraint Gram matrix `G_kl = ⟨A_k, A_l⟩`.
     ///
-    /// The entry grouping iterates a `HashMap` in arbitrary order, so
-    /// the *summation order* of each Gram entry is not deterministic;
-    /// CPLA's constraints carry only `±1.0` coefficients, whose partial
-    /// products are exactly representable, so the accumulated bits are
-    /// order-independent in practice. Both solve backends call this same
-    /// function either way.
-    pub(crate) fn gram(&self) -> SymMatrix {
+    /// Coefficients are grouped by matrix entry in a `BTreeMap`, so
+    /// every Gram cell accumulates its partial products in a fixed
+    /// order and the factor is bit-reproducible across runs.
+    fn gram(&self) -> SymMatrix {
         let m = self.constraints.len();
         let mut g = SymMatrix::zeros(m);
-        // Group coefficients by matrix entry, then accumulate pairwise.
-        // BTreeMap, not HashMap: constraint pairs sharing several matrix
-        // entries accumulate float sums into the same Gram cell, so the
-        // iteration order below must be deterministic for bit-identical
-        // results across runs.
         use std::collections::BTreeMap;
         let mut by_entry: BTreeMap<(usize, usize), Vec<(usize, f64)>> = BTreeMap::new();
         for (k, c) in self.constraints.iter().enumerate() {
@@ -186,12 +219,12 @@ pub struct SdpSolver {
     /// residual-driven iteration.
     pub rank_stop_window: usize,
     /// How many leading diagonal entries the ranking check considers.
-    /// 0 (the default) ranks the whole diagonal. Consumers whose
-    /// decision variables occupy a prefix of the matrix — CPLA places
-    /// its slack rows after the assignment variables — should bound the
-    /// check to that prefix: slack entries are near-degenerate and
-    /// their jittering order would otherwise keep a settled assignment
-    /// ranking from ever reading as stable.
+    /// 0 (the default) ranks the whole diagonal, LP block included.
+    /// Consumers whose decision variables occupy a prefix of the
+    /// diagonal — CPLA's assignment variables precede its slacks —
+    /// should bound the check to that prefix: slack entries are
+    /// near-degenerate and their jittering order would otherwise keep
+    /// a settled assignment ranking from ever reading as stable.
     pub rank_stop_vars: usize,
 }
 
@@ -208,23 +241,37 @@ impl Default for SdpSolver {
     }
 }
 
+/// The splitting iterates `(Z, U)` of a finished solve, by block: what
+/// [`SdpSolver::solve_from`] needs to warm-start a re-solve.
+#[derive(Clone, PartialEq, Debug)]
+pub struct WarmStart {
+    /// PSD block of the cone iterate `Z`.
+    pub z: SymMatrix,
+    /// PSD block of the scaled dual iterate `U`.
+    pub u: SymMatrix,
+    /// LP block of `Z`.
+    pub z_lp: Vec<f64>,
+    /// LP block of `U`.
+    pub u_lp: Vec<f64>,
+}
+
 /// Result of an ADMM solve.
 #[derive(Clone, PartialEq, Debug)]
 pub struct SdpSolution {
-    /// The affine-feasible iterate (satisfies the equality constraints to
-    /// solver precision); its diagonal holds the relaxed assignment
-    /// variables CPLA's post-mapping consumes.
+    /// PSD block of the affine-feasible iterate (satisfies the equality
+    /// constraints to solver precision); its diagonal holds the relaxed
+    /// assignment variables CPLA's post-mapping consumes.
     pub x: SymMatrix,
-    /// The PSD iterate.
-    pub z: SymMatrix,
-    /// The scaled dual iterate; pass `(z, u)` to [`SdpSolver::solve_from`]
-    /// to warm-start a re-solve of a similar problem.
-    pub u: SymMatrix,
+    /// LP block of the affine-feasible iterate.
+    pub x_lp: Vec<f64>,
+    /// The splitting iterates; pass them to [`SdpSolver::solve_from`] to
+    /// warm-start a re-solve of a similar problem.
+    pub warm: WarmStart,
     /// `⟨C, x⟩` at termination.
     pub objective: f64,
     /// Iterations performed.
     pub iterations: usize,
-    /// Final primal residual `‖X − Z‖_F`.
+    /// Final primal residual `‖X − Z‖_F` over both blocks.
     pub primal_residual: f64,
     /// Final constraint violation `‖A(X) − b‖₂` (should be ≈ 0).
     pub constraint_residual: f64,
@@ -233,12 +280,13 @@ pub struct SdpSolution {
 }
 
 /// Reusable workspaces for [`SdpSolver::try_solve_from_with`]: the PSD
-/// projection's eigendecomposition buffers plus the affine projection's
-/// constraint-value and substitution vectors. One scratch serves
-/// problems of any size (buffers grow on demand and keep their
-/// capacity), so a caller solving many problems — CPLA solves one per
-/// partition leaf per round — threads a single scratch through all of
-/// them instead of re-allocating every ADMM iteration.
+/// projection's eigendecomposition buffers, the affine projection's
+/// constraint, substitution and adjoint vectors, and the rank-stop
+/// check's buffers. One scratch serves problems of any size (buffers
+/// grow on demand and keep their capacity), so a caller solving many
+/// problems — CPLA solves one per partition leaf per round — threads a
+/// single scratch through all of them and the ADMM iteration allocates
+/// nothing.
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
     /// PSD-projection eigendecomposition workspace.
@@ -251,6 +299,16 @@ pub struct SolveScratch {
     y: Vec<f64>,
     /// Dual multipliers `ν` of the affine projection.
     nu: Vec<f64>,
+    /// The adjoint `Σ ν_k A_k`, laid out like the iterates.
+    adj: Vec<f64>,
+    /// Rank-stop check: the ranked diagonal prefix.
+    diag: Vec<f64>,
+    /// Rank-stop check: the prefix quantized to ties.
+    quant: Vec<i64>,
+    /// Rank-stop check: this sample's ordering.
+    order: Vec<u32>,
+    /// Rank-stop check: the previous sample's ordering.
+    rank_prev: Vec<u32>,
 }
 
 impl SolveScratch {
@@ -258,6 +316,26 @@ impl SolveScratch {
     pub fn new() -> SolveScratch {
         SolveScratch::default()
     }
+}
+
+/// Frobenius norm of a flat iterate (both blocks, in storage order).
+fn norm(v: &[f64]) -> f64 {
+    v.iter().map(|a| a * a).sum::<f64>().sqrt()
+}
+
+/// Frobenius norm of the difference of two flat iterates.
+fn dist(a: &[f64], b: &[f64]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// Splits a flat iterate into its PSD matrix and LP vector.
+fn split(mut v: Vec<f64>, p: usize) -> (SymMatrix, Vec<f64>) {
+    let lp = v.split_off(p * p);
+    (SymMatrix::from_raw(p, v), lp)
 }
 
 impl SdpSolver {
@@ -271,23 +349,19 @@ impl SdpSolver {
     }
 
     /// Solves `problem`, optionally warm-starting the splitting iterates
-    /// from a previous solution's `(z, u)` pair.
+    /// from a previous solution's [`WarmStart`].
     ///
     /// ADMM's fixed point is a function of the problem alone; the warm
     /// start only changes how many iterations reaching it takes, which
     /// is what makes it safe for caches that re-solve a slightly
-    /// perturbed problem. A warm pair whose dimension does not match
-    /// the problem is ignored (the cached neighbor gained or lost slack
-    /// variables).
+    /// perturbed problem. A warm start is used only when both its PSD
+    /// order and its LP length match the problem's; otherwise it is
+    /// ignored (the cached neighbor gained or lost slack variables).
     ///
     /// # Panics
     ///
     /// Panics if the problem has dimension 0.
-    pub fn solve_from(
-        &self,
-        problem: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
-    ) -> SdpSolution {
+    pub fn solve_from(&self, problem: &SdpProblem, warm: Option<&WarmStart>) -> SdpSolution {
         // invariant: CPLA-extracted problems always have ≥ 1 variable
         // and a ridge-regularized (hence positive-definite) Gram matrix.
         self.try_solve_from(problem, warm)
@@ -306,7 +380,7 @@ impl SdpSolver {
     pub fn try_solve_from(
         &self,
         problem: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
+        warm: Option<&WarmStart>,
     ) -> Result<SdpSolution, SolveError> {
         let mut scratch = SolveScratch::new();
         self.try_solve_from_with(problem, warm, &mut scratch)
@@ -314,11 +388,11 @@ impl SdpSolver {
 
     /// [`SdpSolver::try_solve_from`] with caller-provided scratch.
     ///
-    /// The eigendecomposition workspaces of the PSD projection and the
-    /// constraint/Cholesky vectors of the affine projection are the
-    /// per-iteration allocations that dominate the solver's allocator
-    /// traffic; threading one [`SolveScratch`] through every solve of a
-    /// round (and every iteration within a solve) reuses them instead.
+    /// The iterates are allocated once per solve; every per-iteration
+    /// workspace — the eigendecomposition buffers, the constraint,
+    /// Cholesky and adjoint vectors, the rank-stop buffers — lives in
+    /// the [`SolveScratch`], so threading one scratch through every
+    /// solve of a round keeps the iteration off the allocator.
     /// Bit-identical to [`SdpSolver::try_solve_from`], which wraps it
     /// with a fresh scratch.
     ///
@@ -328,7 +402,7 @@ impl SdpSolver {
     pub fn try_solve_from_with(
         &self,
         problem: &SdpProblem,
-        warm: Option<(&SymMatrix, &SymMatrix)>,
+        warm: Option<&WarmStart>,
         scratch: &mut SolveScratch,
     ) -> Result<SdpSolution, SolveError> {
         let n = problem.dim();
@@ -339,11 +413,16 @@ impl SdpSolver {
                 expected: 1,
             });
         }
+        let p = problem.psd_order();
+        let pp = p * p;
+        let len = pp + problem.lp;
         // Normalize the cost so ρ's default scale is meaningful across
-        // wildly different delay magnitudes.
+        // wildly different delay magnitudes. The LP block is cost-free.
         let cost_scale = problem.cost.norm().max(1e-12);
-        let mut c = problem.cost.clone();
-        c.scale(1.0 / cost_scale);
+        let mut c = vec![0.0; len];
+        for (ck, &v) in c.iter_mut().zip(problem.cost.as_slice()) {
+            *ck = v * (1.0 / cost_scale);
+        }
 
         let b: Vec<f64> = problem.constraints.iter().map(|x| x.rhs).collect();
         let m = b.len();
@@ -361,89 +440,108 @@ impl SdpSolver {
             None
         };
 
-        let mut x = SymMatrix::zeros(n);
-        let mut z = SymMatrix::zeros(n);
-        let mut u = SymMatrix::zeros(n);
-        if let Some((z0, u0)) = warm {
-            if z0.dim() == n && u0.dim() == n {
-                z = z0.clone();
-                u = u0.clone();
+        let mut x = vec![0.0; len];
+        let mut z = vec![0.0; len];
+        let mut u = vec![0.0; len];
+        if let Some(w) = warm {
+            let lp = problem.lp;
+            if w.z.dim() == p && w.u.dim() == p && w.z_lp.len() == lp && w.u_lp.len() == lp {
+                z[..pp].copy_from_slice(w.z.as_slice());
+                z[pp..].copy_from_slice(&w.z_lp);
+                u[..pp].copy_from_slice(w.u.as_slice());
+                u[pp..].copy_from_slice(&w.u_lp);
             }
         }
+        scratch.adj.clear();
+        scratch.adj.resize(len, 0.0);
+        scratch.rank_prev.clear();
         let mut rho = self.rho;
 
         let mut iterations = 0;
         let mut primal_residual = f64::INFINITY;
         let mut converged = false;
-        // Scratch buffer holding the previous Z (swapped, not cloned,
-        // each iteration).
-        let mut z_prev = SymMatrix::zeros(n);
-        // Ranking-stability state (see `rank_stop_window`).
-        let mut rank_prev: Vec<u32> = Vec::new();
+        // The previous Z (swapped, not cloned, each iteration).
+        let mut z_prev = vec![0.0; len];
         let mut rank_stable = 0usize;
         for it in 0..self.max_iterations {
             iterations = it + 1;
-            // X-update: affine projection of Z − U − C/ρ.
+            // X-update: affine projection of target = Z − U − C/ρ,
+            // built in place in X.
             // X = argmin ||X - target|| s.t. A(X) = b
             //   = target + (1/ρ)·adjoint(ν),  G ν = ρ (b − A(target)).
-            let mut target = &z - &u;
-            target.axpy(-1.0 / rho, &c);
-            x = match &gram_factor {
-                // alloc: per-iteration X update; the batched backend is the alloc-free path.
-                None => target.clone(),
-                Some(factor) => {
-                    problem.apply_into(&target, &mut scratch.ax);
-                    scratch.rhs.clear();
-                    scratch
-                        .rhs
-                        .extend(b.iter().zip(&scratch.ax).map(|(bi, ai)| rho * (bi - ai)));
-                    factor.solve_into(&scratch.rhs, &mut scratch.y, &mut scratch.nu);
-                    // alloc: per-iteration X update; the batched backend is the alloc-free path.
-                    let mut out = target.clone();
-                    out.axpy(1.0 / rho, &problem.adjoint(&scratch.nu));
-                    out
+            let step = -1.0 / rho;
+            for k in 0..len {
+                x[k] = z[k] - u[k] + step * c[k];
+            }
+            if let Some(factor) = &gram_factor {
+                problem.apply_into(&x, &mut scratch.ax);
+                scratch.rhs.clear();
+                scratch
+                    .rhs
+                    .extend(b.iter().zip(&scratch.ax).map(|(bi, ai)| rho * (bi - ai)));
+                factor.solve_into(&scratch.rhs, &mut scratch.y, &mut scratch.nu);
+                problem.adjoint_into(&scratch.nu, &mut scratch.adj);
+                let inv = 1.0 / rho;
+                for (xk, ak) in x.iter_mut().zip(&scratch.adj) {
+                    *xk += inv * ak;
                 }
-            };
+            }
 
-            // Z-update: PSD projection of X + U.
+            // Z-update: cone projection of X + U, built in place in Z.
             std::mem::swap(&mut z, &mut z_prev);
-            let mut w = &x + &u;
-            psd_project_in_place(w.as_mut_slice(), n, &mut scratch.psd);
-            z = w;
+            for k in 0..len {
+                z[k] = x[k] + u[k];
+            }
+            if p > 0 {
+                psd_project_in_place(&mut z[..pp], p, &mut scratch.psd);
+            }
+            for v in &mut z[pp..] {
+                *v = v.max(0.0);
+            }
 
-            // U-update; the same X − Z difference feeds the dual ascent
-            // and the primal residual, so compute it once.
-            let diff = &x - &z;
-            u.axpy(1.0, &diff);
+            // U-update.
+            for k in 0..len {
+                u[k] += x[k] - z[k];
+            }
 
-            primal_residual = diff.norm();
-            let dual_residual = rho * (&z - &z_prev).norm();
-            let scale = 1.0 + x.norm().max(z.norm());
+            primal_residual = dist(&x, &z);
+            let dual_residual = rho * dist(&z, &z_prev);
+            let scale = 1.0 + norm(&x).max(norm(&z));
             if primal_residual < self.tolerance * scale && dual_residual < self.tolerance * scale {
                 converged = true;
                 break;
             }
             if self.rank_stop_window > 0 && it >= 8 && it % 3 == 2 {
-                let diag = x.diagonal();
                 let k = if self.rank_stop_vars == 0 {
-                    diag.len()
+                    n
                 } else {
-                    self.rank_stop_vars.min(diag.len())
+                    self.rank_stop_vars.min(n)
                 };
+                let SolveScratch {
+                    diag,
+                    quant,
+                    order,
+                    rank_prev,
+                    ..
+                } = &mut *scratch;
+                diag.clear();
+                diag.extend(
+                    (0..p)
+                        .map(|i| x[i * p + i])
+                        .chain(x[pp..].iter().copied())
+                        .take(k),
+                );
                 // Rank on values quantized to 1e-3 of the prefix's
                 // magnitude: entries closer than that are ties the
                 // relaxation has not resolved (and may never resolve —
                 // they jitter below the quantum from iterate to
                 // iterate), so their order must not hold up the stop.
-                let scale = diag[..k].iter().fold(1e-12f64, |m, v| m.max(v.abs()));
+                let scale = diag.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
                 let quantum = 1e-3 * scale;
-                let quant: Vec<i64> = diag[..k]
-                    .iter()
-                    .map(|v| (v / quantum).round() as i64)
-                    // alloc: small per-check vector for the rank-stability stop.
-                    .collect();
-                // alloc: small per-check vector for the rank-stability stop.
-                let mut order: Vec<u32> = (0..k as u32).collect();
+                quant.clear();
+                quant.extend(diag.iter().map(|v| (v / quantum).round() as i64));
+                order.clear();
+                order.extend(0..k as u32);
                 order.sort_unstable_by(|&a, &b| {
                     quant[b as usize].cmp(&quant[a as usize]).then(a.cmp(&b))
                 });
@@ -454,16 +552,16 @@ impl SdpSolver {
                     }
                 } else {
                     rank_stable = 0;
-                    rank_prev = order;
+                    std::mem::swap(order, rank_prev);
                 }
             }
             if self.adaptive_rho && it % 10 == 9 {
                 if primal_residual > 10.0 * dual_residual {
                     rho *= 2.0;
-                    u.scale(0.5);
+                    u.iter_mut().for_each(|v| *v *= 0.5);
                 } else if dual_residual > 10.0 * primal_residual {
                     rho *= 0.5;
-                    u.scale(2.0);
+                    u.iter_mut().for_each(|v| *v *= 2.0);
                 }
             }
         }
@@ -476,11 +574,14 @@ impl SdpSolver {
             .map(|(a, bi)| (a - bi).powi(2))
             .sum::<f64>()
             .sqrt();
+        let (x, x_lp) = split(x, p);
+        let (z, z_lp) = split(z, p);
+        let (u, u_lp) = split(u, p);
         let objective = problem.cost.dot(&x);
         Ok(SdpSolution {
             x,
-            z,
-            u,
+            x_lp,
+            warm: WarmStart { z, u, z_lp, u_lp },
             objective,
             iterations,
             primal_residual,
@@ -529,14 +630,14 @@ mod tests {
 
     #[test]
     fn slack_variable_models_inequality() {
-        // min x00 s.t. x00 ≥ 0.3 modeled as  x00 − s = 0.3 with slack on
-        // the extra diagonal entry s = X11 ≥ 0 (PSD diag).
-        // Wait: x00 − s = 0.3 means x00 = 0.3 + s ≥ 0.3. Minimum at 0.3.
-        let c = SymMatrix::from_diagonal(&[1.0, 0.0]);
-        let mut p = SdpProblem::new(c);
+        // min x00 s.t. x00 ≥ 0.3, modeled as x00 − s = 0.3 with the
+        // slack s ≥ 0 in the LP block. Minimum at x00 = 0.3, s = 0.
+        let mut p = SdpProblem::with_lp_block(SymMatrix::from_diagonal(&[1.0]), 1);
         p.add_constraint(vec![(0, 0, 1.0), (1, 1, -1.0)], 0.3);
         let sol = SdpSolver::default().solve(&p);
         assert!((sol.x.get(0, 0) - 0.3).abs() < 5e-3, "{}", sol.x.get(0, 0));
+        assert!(sol.x_lp[0].abs() < 5e-3, "{}", sol.x_lp[0]);
+        assert!(sol.warm.z_lp[0] >= 0.0);
     }
 
     #[test]
@@ -656,7 +757,7 @@ mod tests {
         let solver = SdpSolver::default();
         let cold = solver.solve(&p);
         assert!(cold.converged);
-        let warm = solver.solve_from(&p, Some((&cold.z, &cold.u)));
+        let warm = solver.solve_from(&p, Some(&cold.warm));
         assert!(warm.converged);
         assert!(
             warm.iterations <= cold.iterations,
@@ -680,8 +781,13 @@ mod tests {
         let mut p = SdpProblem::new(c);
         p.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 1.0);
         let solver = SdpSolver::default();
-        let stale = SymMatrix::identity(5); // wrong dimension
-        let sol = solver.solve_from(&p, Some((&stale, &stale)));
+        let stale = WarmStart {
+            z: SymMatrix::identity(5), // wrong dimension
+            u: SymMatrix::identity(5),
+            z_lp: Vec::new(),
+            u_lp: Vec::new(),
+        };
+        let sol = solver.solve_from(&p, Some(&stale));
         let cold = solver.solve(&p);
         assert_eq!(sol.iterations, cold.iterations);
         assert!((sol.x.get(0, 0) - 1.0).abs() < 1e-3);
@@ -734,5 +840,173 @@ mod tests {
             "{}",
             sol.constraint_residual
         );
+    }
+
+    /// A seeded CPLA-shaped problem: `segs` segments with 2–4
+    /// candidates each, diagonal delay costs, couplings between
+    /// consecutive segments, one assignment row per segment and `caps`
+    /// capacity rows closed by slacks. Returns it twice: with the
+    /// slacks on trailing PSD diagonal entries, and in the LP block.
+    fn slack_problem_pair(seed: u64, segs: usize, caps: usize) -> (SdpProblem, SdpProblem) {
+        let mut rng = prng::Rng::seed_from_u64(seed);
+        let mut offsets = Vec::new();
+        let mut p = 0;
+        for _ in 0..segs {
+            offsets.push(p);
+            p += rng.range_usize(2, 5);
+        }
+        offsets.push(p);
+        let mut cost = SymMatrix::zeros(p);
+        for i in 0..p {
+            cost.set(i, i, rng.range_f64(1.0, 100.0));
+        }
+        for s in 1..segs {
+            let (a, b) = (offsets[s - 1], offsets[s]);
+            cost.add_to(a + rng.range_usize(0, b - a), b, rng.range_f64(0.0, 20.0));
+        }
+        let mut padded = SymMatrix::zeros(p + caps);
+        for i in 0..p {
+            for j in 0..p {
+                padded.set(i, j, cost.get(i, j));
+            }
+        }
+        let mut single = SdpProblem::new(padded);
+        let mut blocked = SdpProblem::with_lp_block(cost, caps);
+        let mut add = |row: Vec<(usize, usize, f64)>, rhs: f64| {
+            single.add_constraint(row.clone(), rhs);
+            blocked.add_constraint(row, rhs);
+        };
+        for s in 0..segs {
+            add(
+                (offsets[s]..offsets[s + 1]).map(|i| (i, i, 1.0)).collect(),
+                1.0,
+            );
+        }
+        for k in 0..caps {
+            let mut row = Vec::new();
+            for s in 0..segs {
+                if rng.bool(0.5) {
+                    let i = offsets[s] + rng.range_usize(0, offsets[s + 1] - offsets[s]);
+                    row.push((i, i, 1.0));
+                }
+            }
+            let limit = rng.range_usize(0, row.len().max(1)) as f64;
+            row.push((p + k, p + k, 1.0));
+            add(row, limit);
+        }
+        (single, blocked)
+    }
+
+    /// Solves both forms and checks the LP-block answer against the
+    /// single-block one: same iterations and stop, diagonals (slacks
+    /// included) within 1e-9 relative.
+    fn assert_forms_agree(solver: SdpSolver, single: &SdpProblem, blocked: &SdpProblem) {
+        let a = solver.solve(single);
+        let b = solver.solve(blocked);
+        assert_eq!(a.iterations, b.iterations, "iterations");
+        assert_eq!(a.converged, b.converged, "converged");
+        let da = a.x.diagonal();
+        let db: Vec<f64> = b.x.diagonal().into_iter().chain(b.x_lp).collect();
+        assert_eq!(da.len(), db.len());
+        let scale = da.iter().fold(1e-12f64, |m, v| m.max(v.abs()));
+        for (i, (x, y)) in da.iter().zip(&db).enumerate() {
+            assert!(
+                (x - y).abs() <= 1e-9 * scale,
+                "diagonal {i}: {x} vs {y} (dim {}, psd {})",
+                blocked.dim(),
+                blocked.psd_order()
+            );
+        }
+    }
+
+    #[test]
+    fn lp_block_matches_slacks_on_the_psd_diagonal() {
+        let seeds = if cfg!(feature = "proptest") { 200 } else { 24 };
+        let engine = SdpSolver {
+            max_iterations: 200,
+            tolerance: 1e-4,
+            rank_stop_window: 2,
+            ..SdpSolver::default()
+        };
+        for seed in 0..seeds {
+            let (single, blocked) =
+                slack_problem_pair(seed, 3 + (seed as usize % 6), 1 + (seed as usize % 9));
+            assert_eq!(single.dim(), blocked.dim());
+            assert_forms_agree(SdpSolver::default(), &single, &blocked);
+            let ranked = SdpSolver {
+                rank_stop_vars: blocked.psd_order(),
+                ..engine
+            };
+            assert_forms_agree(ranked, &single, &blocked);
+        }
+    }
+
+    #[test]
+    fn lp_block_with_no_slacks_is_the_plain_sdp() {
+        let (single, blocked) = slack_problem_pair(7, 5, 0);
+        assert_eq!(single, blocked);
+        assert_eq!(blocked.lp_len(), 0);
+        let sol = SdpSolver::default().solve(&blocked);
+        assert!(sol.x_lp.is_empty() && sol.warm.z_lp.is_empty() && sol.warm.u_lp.is_empty());
+        assert_eq!(sol.x.dim(), blocked.psd_order());
+    }
+
+    #[test]
+    fn single_variable_psd_block_with_slacks() {
+        // max x s.t. x + s0 = 0.7, x + s1 = 0.9 → x = 0.7, s = (0, 0.2).
+        let mut blocked = SdpProblem::with_lp_block(SymMatrix::from_diagonal(&[-1.0]), 2);
+        blocked.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 0.7);
+        blocked.add_constraint(vec![(0, 0, 1.0), (2, 2, 1.0)], 0.9);
+        let mut single = SdpProblem::new(SymMatrix::from_diagonal(&[-1.0, 0.0, 0.0]));
+        single.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 0.7);
+        single.add_constraint(vec![(0, 0, 1.0), (2, 2, 1.0)], 0.9);
+        assert_forms_agree(SdpSolver::default(), &single, &blocked);
+        let sol = SdpSolver::default().solve(&blocked);
+        assert!((sol.x.get(0, 0) - 0.7).abs() < 5e-3, "{}", sol.x.get(0, 0));
+        assert!(sol.x_lp[0].abs() < 5e-3 && (sol.x_lp[1] - 0.2).abs() < 5e-3);
+    }
+
+    #[test]
+    fn pure_lp_problem_has_an_empty_psd_block() {
+        // s0 + s1 = 1, s ≥ 0, no cost: any split of the unit is optimal.
+        let mut p = SdpProblem::with_lp_block(SymMatrix::zeros(0), 2);
+        p.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 1.0);
+        let sol = SdpSolver::default().solve(&p);
+        assert_eq!(sol.x.dim(), 0);
+        assert!((sol.x_lp[0] + sol.x_lp[1] - 1.0).abs() < 1e-6);
+        assert!(sol.warm.z_lp.iter().all(|&v| v >= 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "must be diagonal")]
+    fn lp_variables_take_no_off_diagonal_entries() {
+        let mut p = SdpProblem::with_lp_block(SymMatrix::identity(2), 1);
+        p.add_constraint(vec![(0, 2, 1.0)], 1.0);
+    }
+
+    #[test]
+    fn warm_start_needs_both_psd_order_and_lp_length_to_match() {
+        let (_, p) = slack_problem_pair(11, 5, 4);
+        let solver = SdpSolver::default();
+        let cold = solver.solve(&p);
+        // Matching blocks: used, and reaches the same answer no slower.
+        let warm = solver.solve_from(&p, Some(&cold.warm));
+        assert!(warm.iterations <= cold.iterations);
+        for i in 0..p.psd_order() {
+            assert!((warm.x.get(i, i) - cold.x.get(i, i)).abs() < 1e-3);
+        }
+        // Same PSD order, one slack fewer: ignored, a cold solve.
+        let mut fewer = cold.warm.clone();
+        fewer.z_lp.pop();
+        fewer.u_lp.pop();
+        assert_eq!(solver.solve_from(&p, Some(&fewer)), cold);
+        // Same total dimension but the split moved: also ignored.
+        let moved = WarmStart {
+            z: SymMatrix::zeros(p.psd_order() + 1),
+            u: SymMatrix::zeros(p.psd_order() + 1),
+            z_lp: vec![0.0; p.lp_len() - 1],
+            u_lp: vec![0.0; p.lp_len() - 1],
+        };
+        assert_eq!(solver.solve_from(&p, Some(&moved)), cold);
     }
 }

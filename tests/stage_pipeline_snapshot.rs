@@ -1,25 +1,45 @@
 //! Differential and golden tests pinning the stage-based driver to the
 //! pre-refactor engine, bit for bit.
 //!
-//! The expected rows below were recorded from the monolithic
-//! `Cpla::run` loop *before* it was decomposed into discrete flow
-//! stages (see `examples/record_snapshot.rs`). Any behavioral drift in
-//! the refactor — a reordered stage, a cache consulted differently, a
-//! float summed in another order — shows up here as a changed bit
-//! pattern, not as an invisible fraction of a picosecond.
+//! The `SyntheticConfig::small` rows below were recorded from the
+//! monolithic `Cpla::run` loop *before* it was decomposed into discrete
+//! flow stages (see `examples/record_snapshot.rs`). Any behavioral drift
+//! — a reordered stage, a cache consulted differently, a float summed
+//! in another order — shows up here as a changed bit pattern, not as an
+//! invisible fraction of a picosecond.
+//!
+//! Those small designs are uncongested: their partition leaves carry no
+//! binding capacity rows, so they cannot see a change in how the SDP
+//! treats slack variables. The Table 2 rows (`adaptec1`, and the
+//! pre-overflowed `newblue1` whose rounds are all rejected) were
+//! recorded with the slacks still on the PSD diagonal; their leaves do
+//! carry binding slacks, and multi-round `adaptec1` exercises the
+//! warm-started re-solves too.
 
-use cpla::{Cpla, CplaConfig, PipelineMode, SolveBackend};
+use cpla::{Cpla, CplaConfig, PipelineMode};
 use ispd::SyntheticConfig;
 use route::{initial_assignment, route_netlist, RouterConfig};
 
-/// One recorded engine outcome on a fixed-seed workload.
+/// A pinned workload.
+#[derive(Clone, Copy, Debug)]
+enum Design {
+    /// `SyntheticConfig::small(seed)` at ratio 0.05, 8 rounds.
+    Small(u64),
+    /// A Table 2 design at the default configuration (ratio 0.005).
+    Named(&'static str),
+}
+
+/// One recorded engine outcome on a fixed workload.
 struct Expected {
     mode: PipelineMode,
-    seed: u64,
+    design: Design,
     /// `f64::to_bits` of the final released-average delay.
     avg_bits: u64,
     /// `f64::to_bits` of the final released-maximum delay.
     max_bits: u64,
+    /// `f64::to_bits` of each round's released-average delay, accepted
+    /// or not.
+    round_avg_bits: &'static [u64],
     via_overflow: u64,
     via_count: u64,
     rounds: usize,
@@ -31,8 +51,9 @@ struct Expected {
     released: &'static [usize],
 }
 
-/// Recorded by `examples/record_snapshot.rs` (config:
-/// `SyntheticConfig::small(seed)`, ratio 0.05, 8 rounds, 1 thread).
+/// Recorded by `examples/record_snapshot.rs` (1 thread). The per-round
+/// bits and the Table 2 rows were added later, recorded from the
+/// engine that still kept its slacks on the PSD diagonal.
 /// Last re-pinned after the via-overflow pricing and preference-gated
 /// post-mapping fixes: the partition extraction now charges the full
 /// `α` weight for vias through at-capacity layers, and Algorithm-1
@@ -41,9 +62,15 @@ struct Expected {
 const SNAPSHOT: &[Expected] = &[
     Expected {
         mode: PipelineMode::Legacy,
-        seed: 3,
+        design: Design::Small(3),
         avg_bits: 0x4081dcb3521e8fc0,
         max_bits: 0x4087a09bd0b1666a,
+        round_avg_bits: &[
+            0x40839164d5c8bc60,
+            0x4081dcb3521e8fc0,
+            0x4083995536d424c1,
+            0x40822120fa38207b,
+        ],
         via_overflow: 0,
         via_count: 354,
         rounds: 4,
@@ -56,9 +83,16 @@ const SNAPSHOT: &[Expected] = &[
     },
     Expected {
         mode: PipelineMode::Legacy,
-        seed: 42,
+        design: Design::Small(42),
         avg_bits: 0x40894b561c57ad6f,
         max_bits: 0x409eee5ede61f141,
+        round_avg_bits: &[
+            0x408b04a9c540b455,
+            0x4089735064bb9f00,
+            0x40894b561c57ad6f,
+            0x40898658a3ac02fb,
+            0x40895d1ed922e383,
+        ],
         via_overflow: 0,
         via_count: 372,
         rounds: 5,
@@ -71,9 +105,15 @@ const SNAPSHOT: &[Expected] = &[
     },
     Expected {
         mode: PipelineMode::Incremental,
-        seed: 3,
+        design: Design::Small(3),
         avg_bits: 0x40815a6112938e9e,
         max_bits: 0x4087a09bd0b1666a,
+        round_avg_bits: &[
+            0x40839164d5c8bc60,
+            0x40815a6112938e9e,
+            0x40815a6112938e9e,
+            0x40815a6112938e9e,
+        ],
         via_overflow: 0,
         via_count: 348,
         rounds: 4,
@@ -86,9 +126,18 @@ const SNAPSHOT: &[Expected] = &[
     },
     Expected {
         mode: PipelineMode::Incremental,
-        seed: 42,
+        design: Design::Small(42),
         avg_bits: 0x40881471ccf1109d,
         max_bits: 0x409e5631bc4e257a,
+        round_avg_bits: &[
+            0x408b04a9c540b455,
+            0x4088aeb58718677b,
+            0x40885bfdae2378c3,
+            0x40882943f81cdf80,
+            0x40881471ccf1109d,
+            0x40881471ccf1109d,
+            0x40881471ccf1109d,
+        ],
         via_overflow: 0,
         via_count: 370,
         rounds: 7,
@@ -99,34 +148,87 @@ const SNAPSHOT: &[Expected] = &[
         gate_rejected: 16,
         released: &[46, 48, 85, 19, 64, 0],
     },
+    Expected {
+        mode: PipelineMode::Incremental,
+        design: Design::Named("adaptec1"),
+        avg_bits: 0x40ce98a63be5dfeb,
+        max_bits: 0x40db4e1d95907722,
+        round_avg_bits: &[
+            0x40d048e85c2ced72,
+            0x40cea554b3db9da5,
+            0x40cea23e52d08922,
+            0x40ce98a63be5dfeb,
+            0x40ce97986d429207,
+            0x40ce97986d429207,
+        ],
+        via_overflow: 482,
+        via_count: 31587,
+        rounds: 6,
+        partitions_solved: 159,
+        partitions_reused: 84,
+        evaluations: 318,
+        gate_accepted: 44,
+        gate_rejected: 58,
+        released: &[
+            2475, 4362, 3147, 4217, 1460, 1058, 5059, 1078, 3136, 4363, 4739, 1671, 5438, 2009,
+            4096, 4384, 5046, 4574, 1814, 565, 2535, 3200, 1585, 2688, 4173, 2069, 366, 1597,
+        ],
+    },
+    Expected {
+        mode: PipelineMode::Incremental,
+        design: Design::Named("newblue1"),
+        avg_bits: 0x40d6dcdd8859db98,
+        max_bits: 0x40e5cf348f34cfc4,
+        round_avg_bits: &[0x40cb4e0172879fd6, 0x40ca2444b9d1e0a1],
+        via_overflow: 349,
+        via_count: 30160,
+        rounds: 2,
+        partitions_solved: 92,
+        partitions_reused: 0,
+        evaluations: 184,
+        gate_accepted: 39,
+        gate_rejected: 11,
+        released: &[
+            4571, 4725, 3390, 543, 1459, 4728, 1486, 2640, 3129, 4199, 1312, 4057, 2331, 5289,
+            3664, 3815, 4839, 585, 5378, 3057, 428, 5285, 577, 4377, 2058, 3535, 778, 4197,
+        ],
+    },
 ];
 
-fn run(mode: PipelineMode, seed: u64) -> cpla::CplaReport {
-    run_backend(mode, seed, SolveBackend::PerLeaf)
-}
-
-fn run_backend(mode: PipelineMode, seed: u64, solve_backend: SolveBackend) -> cpla::CplaReport {
-    let cfg = SyntheticConfig::small(seed);
+fn run(mode: PipelineMode, design: Design) -> cpla::CplaReport {
+    let (cfg, config) = match design {
+        Design::Small(seed) => (
+            SyntheticConfig::small(seed),
+            CplaConfig {
+                critical_ratio: 0.05,
+                max_rounds: 8,
+                threads: 1,
+                mode,
+                ..CplaConfig::default()
+            },
+        ),
+        Design::Named(name) => (
+            SyntheticConfig::named(name).expect("Table 2 design"),
+            CplaConfig {
+                threads: 1,
+                mode,
+                ..CplaConfig::default()
+            },
+        ),
+    };
     let (mut grid, specs) = cfg.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
     let mut assignment = initial_assignment(&mut grid, &netlist);
-    Cpla::new(CplaConfig {
-        critical_ratio: 0.05,
-        max_rounds: 8,
-        threads: 1,
-        mode,
-        solve_backend,
-        ..CplaConfig::default()
-    })
-    .run(&mut grid, &netlist, &mut assignment)
-    .expect("snapshot workload is well-formed")
+    Cpla::new(config)
+        .run(&mut grid, &netlist, &mut assignment)
+        .expect("snapshot workload is well-formed")
 }
 
 #[test]
 fn stage_driver_matches_the_pre_refactor_engine_bit_for_bit() {
     for e in SNAPSHOT {
-        let r = run(e.mode, e.seed);
-        let label = format!("mode={:?} seed={}", e.mode, e.seed);
+        let r = run(e.mode, e.design);
+        let label = format!("mode={:?} design={:?}", e.mode, e.design);
         assert_eq!(
             r.final_metrics.avg_tcp.to_bits(),
             e.avg_bits,
@@ -139,6 +241,8 @@ fn stage_driver_matches_the_pre_refactor_engine_bit_for_bit() {
             "{label}: max_tcp drifted to {}",
             r.final_metrics.max_tcp
         );
+        let round_bits: Vec<u64> = r.rounds.iter().map(|s| s.avg_tcp.to_bits()).collect();
+        assert_eq!(round_bits, e.round_avg_bits, "{label}: per-round avg_tcp");
         assert_eq!(r.final_metrics.via_overflow, e.via_overflow, "{label}: OV#");
         assert_eq!(r.final_metrics.via_count, e.via_count, "{label}: via#");
         assert_eq!(r.rounds.len(), e.rounds, "{label}: rounds");
@@ -160,52 +264,6 @@ fn stage_driver_matches_the_pre_refactor_engine_bit_for_bit() {
             "{label}: gate_rejected"
         );
         assert_eq!(r.released, e.released, "{label}: released set");
-    }
-}
-
-#[test]
-fn batched_backend_reproduces_every_pinned_snapshot() {
-    // The batched SoA backend claims bit-identity with the per-leaf
-    // path; the strongest check is against the *pre-refactor* recorded
-    // rows themselves — same four workloads, same expected bits, only
-    // the Solve-stage execution shape changed.
-    for e in SNAPSHOT {
-        let r = run_backend(e.mode, e.seed, SolveBackend::Batched);
-        let label = format!("batched mode={:?} seed={}", e.mode, e.seed);
-        assert_eq!(
-            r.final_metrics.avg_tcp.to_bits(),
-            e.avg_bits,
-            "{label}: avg_tcp drifted to {}",
-            r.final_metrics.avg_tcp
-        );
-        assert_eq!(
-            r.final_metrics.max_tcp.to_bits(),
-            e.max_bits,
-            "{label}: max_tcp drifted to {}",
-            r.final_metrics.max_tcp
-        );
-        assert_eq!(r.final_metrics.via_overflow, e.via_overflow, "{label}: OV#");
-        assert_eq!(r.final_metrics.via_count, e.via_count, "{label}: via#");
-        assert_eq!(r.rounds.len(), e.rounds, "{label}: rounds");
-        assert_eq!(
-            r.stats.partitions_solved, e.partitions_solved,
-            "{label}: partitions_solved"
-        );
-        assert_eq!(
-            r.stats.partitions_reused, e.partitions_reused,
-            "{label}: partitions_reused"
-        );
-        assert_eq!(r.stats.evaluations, e.evaluations, "{label}: evaluations");
-        assert_eq!(
-            r.stats.gate_accepted, e.gate_accepted,
-            "{label}: gate_accepted"
-        );
-        assert_eq!(
-            r.stats.gate_rejected, e.gate_rejected,
-            "{label}: gate_rejected"
-        );
-        assert_eq!(r.released, e.released, "{label}: released set");
-        assert!(r.stats.batch_sweeps > 0, "{label}: batched backend unused");
     }
 }
 
@@ -218,8 +276,8 @@ fn incremental_never_loses_to_legacy() {
     // incremental answer must be at least as good on every recorded
     // workload, at no overflow cost.
     for seed in [3u64, 42] {
-        let legacy = run(PipelineMode::Legacy, seed);
-        let incremental = run(PipelineMode::Incremental, seed);
+        let legacy = run(PipelineMode::Legacy, Design::Small(seed));
+        let incremental = run(PipelineMode::Incremental, Design::Small(seed));
         assert!(
             incremental.final_metrics.avg_tcp <= legacy.final_metrics.avg_tcp,
             "seed {seed}: Avg(Tcp) {} worse than legacy {}",
