@@ -14,18 +14,37 @@
 //!    and mentions every pipeline stage at least once;
 //! 2. every metrics sample line parses as `name{labels} value` with a
 //!    finite value, and the per-stage wall metric is present;
-//! 3. `BENCH_cpla.json` parses, carries `schema` 3, every mode's
+//! 3. `BENCH_cpla.json` parses, carries `schema` 4, every mode's
 //!    `stages` object has exactly the eight pipeline stage keys, and
 //!    every mode's `peak_alloc_bytes` is a number when `alloc_stats`
 //!    is `true` and `null`/absent when it is `false`;
-//! 4. with `--baseline`, the bench report's mode labels and stage keys
-//!    match the committed baseline (values are allowed to drift —
-//!    wall-clock and allocator numbers are machine-dependent).
+//! 4. with `--baseline`, the baseline also carries `schema` 4, the
+//!    bench report's mode labels and stage keys match it, and so does
+//!    every mode's [`QUALITY_FIELDS`] value, exactly. Those fields are
+//!    deterministic across thread counts and hosts; wall-clock, stage
+//!    and allocator numbers are machine-dependent and stay unchecked.
 
 use std::process::ExitCode;
 
 use conform::json::{self, Value};
 use flow::Stage;
+
+/// The `BENCH_cpla.json` schema this checker reads, in both the report
+/// and its baseline.
+const SCHEMA: u64 = 4;
+
+/// Per-mode fields that `--baseline` compares exactly: the run's
+/// quality and shape, which no thread count or host may change.
+const QUALITY_FIELDS: [&str; 8] = [
+    "avg_tcp_initial",
+    "avg_tcp_final",
+    "max_tcp_final",
+    "wire_overflow",
+    "via_overflow",
+    "via_count",
+    "rounds",
+    "released",
+];
 
 struct Args {
     trace: Option<String>,
@@ -183,13 +202,17 @@ fn stage_keys(mode: &Value) -> Result<Vec<String>, String> {
     }
 }
 
+/// The `modes` object of a bench report, label → mode.
+fn modes<'a>(root: &'a Value, path: &str) -> Result<&'a [(String, Value)], String> {
+    match root.get("modes") {
+        Some(Value::Obj(pairs)) if !pairs.is_empty() => Ok(pairs),
+        _ => Err(format!("{path}: missing or empty `modes` object")),
+    }
+}
+
 /// Mode-label → sorted stage keys for a whole bench report.
 fn mode_map(root: &Value, path: &str) -> Result<Vec<(String, Vec<String>)>, String> {
-    let modes = match root.get("modes") {
-        Some(Value::Obj(pairs)) if !pairs.is_empty() => pairs,
-        _ => return Err(format!("{path}: missing or empty `modes` object")),
-    };
-    modes
+    modes(root, path)?
         .iter()
         .map(|(label, mode)| {
             let keys = stage_keys(mode).map_err(|e| format!("{path}: mode `{label}`: {e}"))?;
@@ -198,15 +221,56 @@ fn mode_map(root: &Value, path: &str) -> Result<Vec<(String, Vec<String>)>, Stri
         .collect()
 }
 
-fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
-    let root = json::parse(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+/// Parses a bench report and checks that it carries [`SCHEMA`].
+fn parse_bench(text: &str, path: &str) -> Result<Value, String> {
+    let root = json::parse(text).map_err(|e| format!("{path}: {e}"))?;
     let schema = root
         .get("schema")
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("{path}: missing numeric `schema`"))?;
-    if schema != 3 {
-        return Err(format!("{path}: unsupported schema {schema} (expected 3)"));
+    if schema != SCHEMA {
+        return Err(format!(
+            "{path}: unsupported schema {schema} (expected {SCHEMA})"
+        ));
     }
+    Ok(root)
+}
+
+/// Checks a bench report against its baseline: the same mode labels
+/// and stage keys, and bit-equal [`QUALITY_FIELDS`] in every mode.
+fn compare_to_baseline(
+    root: &Value,
+    path: &str,
+    base: &Value,
+    base_path: &str,
+) -> Result<(), String> {
+    let keys = mode_map(root, path)?;
+    let base_keys = mode_map(base, base_path)?;
+    if keys != base_keys {
+        return Err(format!(
+            "{path}: mode labels and stage keys {keys:?} != baseline {base_keys:?}"
+        ));
+    }
+    for ((label, mode), (_, base_mode)) in modes(root, path)?.iter().zip(modes(base, base_path)?) {
+        for field in QUALITY_FIELDS {
+            let value = |m: &Value, p: &str| {
+                m.get(field)
+                    .and_then(Value::as_num)
+                    .ok_or_else(|| format!("{p}: mode `{label}` has no numeric `{field}`"))
+            };
+            let (got, want) = (value(mode, path)?, value(base_mode, base_path)?);
+            if got.to_bits() != want.to_bits() {
+                return Err(format!(
+                    "{path}: mode `{label}`: {field} {got} != baseline {want}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
+    let root = parse_bench(&read(path)?, path)?;
     let modes = mode_map(&root, path)?;
     let mut expected: Vec<String> = Stage::ALL.iter().map(|s| s.name().to_string()).collect();
     expected.sort();
@@ -247,20 +311,13 @@ fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
         }
     }
     let mut summary = format!(
-        "bench {path}: schema 3, {} mode(s), stage keys ok",
+        "bench {path}: schema {SCHEMA}, {} mode(s), stage keys ok",
         modes.len()
     );
     if let Some(base_path) = baseline {
-        let base_root = json::parse(&read(base_path)?).map_err(|e| format!("{base_path}: {e}"))?;
-        let base_modes = mode_map(&base_root, base_path)?;
-        let labels: Vec<&String> = modes.iter().map(|(l, _)| l).collect();
-        let base_labels: Vec<&String> = base_modes.iter().map(|(l, _)| l).collect();
-        if labels != base_labels {
-            return Err(format!(
-                "{path}: mode labels {labels:?} != baseline {base_labels:?}"
-            ));
-        }
-        summary.push_str(&format!(", matches baseline {base_path}"));
+        let base_root = parse_bench(&read(base_path)?, base_path)?;
+        compare_to_baseline(&root, path, &base_root, base_path)?;
+        summary.push_str(&format!(", quality matches baseline {base_path}"));
     }
     Ok(summary)
 }
@@ -286,5 +343,51 @@ fn main() -> ExitCode {
             eprintln!("cpla-bench-check: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A one-mode schema-4 bench report.
+    fn report(schema: u64, wall_secs: &str, avg_tcp_final: &str) -> String {
+        let stages = Stage::ALL
+            .iter()
+            .map(|s| format!("\"{}\":{{}}", s.name()))
+            .collect::<Vec<_>>()
+            .join(",");
+        format!(
+            "{{\"schema\":{schema},\"alloc_stats\":false,\"modes\":{{\"incremental\":{{\
+             \"wall_secs\":{wall_secs},\"avg_tcp_initial\":5722.628584,\
+             \"avg_tcp_final\":{avg_tcp_final},\"max_tcp_final\":8153.431900,\
+             \"via_overflow\":0,\"via_count\":1287,\"wire_overflow\":0,\
+             \"rounds\":8,\"released\":20,\"peak_alloc_bytes\":null,\
+             \"stages\":{{{stages}}}}}}}}}"
+        )
+    }
+
+    fn compare(bench: &str, baseline: &str) -> Result<(), String> {
+        let root = parse_bench(bench, "bench")?;
+        let base = parse_bench(baseline, "baseline")?;
+        compare_to_baseline(&root, "bench", &base, "baseline")
+    }
+
+    #[test]
+    fn baseline_quality_fields_are_compared_exactly() {
+        let bench = report(4, "0.124726", "2170.024150");
+        compare(&bench, &bench).expect("an identical baseline passes");
+        // Wall times are machine-dependent and stay unchecked.
+        compare(&bench, &report(4, "0.5", "2170.024150")).expect("wall drift passes");
+        let err = compare(&bench, &report(4, "0.124726", "2170.024151"))
+            .expect_err("a doctored baseline fails");
+        assert!(err.contains("avg_tcp_final"), "{err}");
+    }
+
+    #[test]
+    fn a_stale_baseline_schema_fails() {
+        let bench = report(4, "0.1", "2170.024150");
+        let err = compare(&bench, &report(3, "0.1", "2170.024150")).expect_err("schema 3");
+        assert!(err.contains("unsupported schema 3"), "{err}");
     }
 }

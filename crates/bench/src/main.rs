@@ -1,7 +1,6 @@
-//! `cpla-bench`: end-to-end pipeline benchmark comparing the legacy and
-//! incremental CPLA evaluation pipelines on a synthetic ISPD-like
-//! workload, emitting machine-readable JSON (stats are hand-serialized —
-//! the toolchain is hermetic, no serde).
+//! `cpla-bench`: end-to-end benchmark of the incremental CPLA pipeline
+//! on a synthetic ISPD-like workload, emitting machine-readable JSON
+//! (stats are hand-serialized — the toolchain is hermetic, no serde).
 //!
 //! ```text
 //! cargo run --release -p cpla-bench -- --threads 4 --nets 400
@@ -9,22 +8,22 @@
 //!
 //! Flags (all optional): `--seed N`, `--nets N`, `--size WxH`,
 //! `--layers N`, `--capacity N`, `--threads N`, `--ratio F`,
-//! `--rounds N`, `--mode both|legacy|incremental`,
-//! `--trace <file.jsonl>` (per-stage JSON-lines trace),
+//! `--rounds N`, `--reps N`, `--trace <file.jsonl>` (per-stage
+//! JSON-lines trace),
 //! `--alloc-stats` (per-span allocation accounting),
 //! `--trace-chrome <file.json>` (Chrome `trace_event` span dump for
 //! `chrome://tracing`/Perfetto), `--metrics <file.txt>` (Prometheus
 //! text dump), `--bench-json <file|none>` (per-stage p50/p95 baseline,
 //! default `BENCH_cpla.json`), `--preset scale-100k|scale-1m` (fix the
 //! design to a scale-generator config, overriding the design flags),
-//! `--compare-threads N` (additionally run the first enabled cell at
-//! 1 and N threads and record the wall ratio under `thread_scaling`).
+//! `--compare-threads N` (additionally run the pipeline at 1 and N
+//! threads and record the wall ratio under `thread_scaling`).
 
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::time::Instant;
 
-use cpla::{Cpla, CplaConfig, CplaReport, PipelineMode, PipelineStats};
+use cpla::{Cpla, CplaConfig, CplaReport, PipelineStats};
 use flow::{RoundSnapshot, Stage, StageObserver};
 use grid::Grid;
 use ispd::SyntheticConfig;
@@ -37,14 +36,17 @@ use route::{initial_assignment, route_netlist, RouterConfig};
 #[global_allocator]
 static ALLOC: obs::CountingAlloc = obs::CountingAlloc::new();
 
+/// Label of the engine's pipeline in every emitted artifact: the
+/// `modes` key of the bench JSON, the stdout summary key and the trace
+/// process name.
+const LABEL: &str = "incremental";
+
 /// A [`StageObserver`] that appends one JSON object per stage boundary
 /// and per round to a file — the machine-readable counterpart of
 /// watching the pipeline run. Hand-serialized like the summary JSON
 /// (the toolchain is hermetic, no serde).
 struct JsonlTrace {
     out: BufWriter<File>,
-    /// Pipeline label stamped on every record.
-    mode: &'static str,
     /// Repetition index stamped on every record.
     rep: usize,
 }
@@ -57,7 +59,6 @@ impl JsonlTrace {
         });
         JsonlTrace {
             out: BufWriter::new(file),
-            mode: "",
             rep: 0,
         }
     }
@@ -73,9 +74,8 @@ impl JsonlTrace {
 impl StageObserver for JsonlTrace {
     fn on_stage_start(&mut self, round: usize, stage: Stage) {
         let record = format!(
-            "{{\"event\":\"stage_start\",\"mode\":\"{}\",\"rep\":{},\
+            "{{\"event\":\"stage_start\",\"rep\":{},\
              \"round\":{},\"stage\":\"{}\"}}",
-            self.mode,
             self.rep,
             round,
             stage.name(),
@@ -85,9 +85,8 @@ impl StageObserver for JsonlTrace {
 
     fn on_stage_end(&mut self, round: usize, stage: Stage, seconds: f64) {
         let record = format!(
-            "{{\"event\":\"stage_end\",\"mode\":\"{}\",\"rep\":{},\
+            "{{\"event\":\"stage_end\",\"rep\":{},\
              \"round\":{},\"stage\":\"{}\",\"seconds\":{:.6}}}",
-            self.mode,
             self.rep,
             round,
             stage.name(),
@@ -99,11 +98,10 @@ impl StageObserver for JsonlTrace {
     fn on_round_end(&mut self, snapshot: &RoundSnapshot) {
         let c = snapshot.counters;
         let record = format!(
-            "{{\"event\":\"round_end\",\"mode\":\"{}\",\"rep\":{},\
+            "{{\"event\":\"round_end\",\"rep\":{},\
              \"round\":{},\"objective\":{:.6},\"improved\":{},\
              \"partitions_solved\":{},\"partitions_reused\":{},\
              \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{}}}",
-            self.mode,
             self.rep,
             snapshot.round,
             snapshot.objective,
@@ -130,7 +128,6 @@ struct Args {
     ratio: f64,
     rounds: usize,
     reps: usize,
-    mode: String,
     trace: Option<String>,
     alloc_stats: bool,
     trace_chrome: Option<String>,
@@ -138,10 +135,10 @@ struct Args {
     bench_json: Option<String>,
     /// Scale-generator config name; fixes the design fields.
     preset: Option<String>,
-    /// Also run the first enabled cell at 1 and N threads and record
-    /// the wall ratio.
+    /// Also run the pipeline at 1 and N threads and record the wall
+    /// ratio.
     compare_threads: Option<usize>,
-    /// Extra `LayerAssigner` backends to row up against the CPLA matrix
+    /// Extra `LayerAssigner` backends to row up against the CPLA run
     /// (`tila`, `lagrange`, `greedy`, `race`). Only the stdout summary
     /// gains an `assigners` object; the baseline-checked
     /// `BENCH_cpla.json` is untouched, so CI diffs stay stable.
@@ -161,7 +158,6 @@ impl Default for Args {
             ratio: 0.05,
             rounds: 8,
             reps: 3,
-            mode: "both".to_string(),
             trace: None,
             alloc_stats: false,
             trace_chrome: None,
@@ -202,7 +198,6 @@ fn parse_args() -> Args {
             "--ratio" => args.ratio = value("--ratio").parse().unwrap(),
             "--rounds" => args.rounds = value("--rounds").parse().unwrap(),
             "--reps" => args.reps = value("--reps").parse().unwrap(),
-            "--mode" => args.mode = value("--mode"),
             "--trace" => args.trace = Some(value("--trace")),
             "--alloc-stats" => args.alloc_stats = true,
             "--trace-chrome" => args.trace_chrome = Some(value("--trace-chrome")),
@@ -238,9 +233,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: cpla-bench [--seed N] [--nets N] [--size WxH] \
                      [--layers N] [--capacity N] [--threads N] [--ratio F] \
-                     [--rounds N] [--reps N] \
-                     [--mode both|legacy|incremental] \
-                     [--trace file.jsonl] \
+                     [--rounds N] [--reps N] [--trace file.jsonl] \
                      [--alloc-stats] [--trace-chrome file.json] \
                      [--metrics file.txt] [--bench-json file|none] \
                      [--preset scale-100k|scale-1m] [--compare-threads N] \
@@ -269,10 +262,8 @@ struct RunOutcome {
     wire_overflow: u64,
 }
 
-fn run_mode(
+fn run_cpla(
     args: &Args,
-    mode: PipelineMode,
-    label: &'static str,
     grid: &Grid,
     netlist: &Netlist,
     assignment: &Assignment,
@@ -282,22 +273,20 @@ fn run_mode(
         critical_ratio: args.ratio,
         max_rounds: args.rounds,
         threads: args.threads,
-        mode,
         alloc_stats: args.alloc_stats,
         ..CplaConfig::default()
     };
     let mut trace = trace;
-    // The engine is deterministic per mode, so repetitions only differ
+    // The engine is deterministic, so repetitions only differ
     // in scheduler noise: report the minimum wall time.
     let mut best: Option<RunOutcome> = None;
     for rep in 0..args.reps.max(1) {
         let mut grid = grid.clone();
         let mut assignment = assignment.clone();
-        let mut recorder = Recorder::new(label);
+        let mut recorder = Recorder::new(LABEL);
         obs::alloc::reset_peak();
         let mut observers: Vec<&mut dyn flow::StageObserver> = Vec::new();
         if let Some(t) = trace.as_deref_mut() {
-            t.mode = label;
             t.rep = rep;
             observers.push(t);
         }
@@ -326,8 +315,8 @@ fn run_mode(
 }
 
 /// One `--assigners` row: the named backend run through the
-/// `LayerAssigner` seam on the same routed workload the CPLA matrix
-/// used; minimum wall time over `--reps` repetitions, like `run_mode`.
+/// `LayerAssigner` seam on the same routed workload the CPLA run used;
+/// minimum wall time over `--reps` repetitions, like `run_cpla`.
 fn run_assigner(
     args: &Args,
     name: &str,
@@ -379,17 +368,9 @@ fn run_assigner(
 
 fn json_stats(s: &PipelineStats) -> String {
     format!(
-        "{{\"context_secs\":{:.6},\"partition_secs\":{:.6},\
-         \"extract_secs\":{:.6},\"solve_secs\":{:.6},\"apply_secs\":{:.6},\
-         \"metrics_secs\":{:.6},\"rounds\":{},\"partitions_solved\":{},\
+        "{{\"rounds\":{},\"partitions_solved\":{},\
          \"partitions_reused\":{},\"cache_hit_rate\":{:.4},\
          \"evaluations\":{},\"gate_accepted\":{},\"gate_rejected\":{}}}",
-        s.context_secs,
-        s.partition_secs,
-        s.extract_secs,
-        s.solve_secs,
-        s.apply_secs,
-        s.metrics_secs,
         s.rounds,
         s.partitions_solved,
         s.partitions_reused,
@@ -415,7 +396,7 @@ fn json_run(o: &RunOutcome) -> String {
     )
 }
 
-/// Per-mode entry of `BENCH_cpla.json`: run-level quality/cost numbers
+/// The `modes` entry of `BENCH_cpla.json`: run-level quality/cost numbers
 /// plus the per-stage p50/p95 wall and allocation rollup.
 /// `peak_alloc_bytes` is `null` unless `--alloc-stats` actually
 /// measured it — a literal 0 would read as "measured, allocated
@@ -445,7 +426,7 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
          \"avg_tcp_final\":{:.6},\"max_tcp_final\":{:.6},\
          \"via_overflow\":{},\"via_count\":{},\"wire_overflow\":{},\
          \"rounds\":{},\"released\":{},\"peak_alloc_bytes\":{},\
-         \"solve_secs\":{:.6},\"stages\":{{{}}}}}",
+         \"stages\":{{{}}}}}",
         o.wall_secs,
         o.report.initial_metrics.avg_tcp,
         o.report.final_metrics.avg_tcp,
@@ -460,26 +441,20 @@ fn json_bench_mode(o: &RunOutcome, alloc_stats: bool) -> String {
         } else {
             "null".to_string()
         },
-        o.report.stats.solve_secs,
         stages,
     )
 }
 
-/// The whole `BENCH_cpla.json` document. Stage *keys* are the stable
-/// contract (CI diffs them against the committed baseline); the numeric
-/// values are a trajectory, expected to drift run to run.
-fn json_bench(args: &Args, modes: &[(&str, &RunOutcome)], thread_scaling: Option<&str>) -> String {
-    let mode_objs = modes
-        .iter()
-        .map(|(label, o)| format!("\"{label}\":{}", json_bench_mode(o, args.alloc_stats)))
-        .collect::<Vec<_>>()
-        .join(",");
+/// The whole `BENCH_cpla.json` document. `cpla-bench-check` compares
+/// its stage keys and quality fields against the committed baseline;
+/// wall and stage times are machine-dependent and left unchecked.
+fn json_bench(args: &Args, o: &RunOutcome, thread_scaling: Option<&str>) -> String {
     format!(
-        "{{\n\"schema\":3,\n\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\
+        "{{\n\"schema\":4,\n\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\
          \"height\":{},\"layers\":{},\"capacity\":{},\"preset\":{}}},\n\
          \"threads\":{},\"reps\":{},\"ratio\":{},\"rounds\":{},\
          \"alloc_stats\":{},\
-         \"thread_scaling\":{},\n\"modes\":{{{}}}\n}}\n",
+         \"thread_scaling\":{},\n\"modes\":{{\"{LABEL}\":{}}}\n}}\n",
         args.seed,
         args.nets,
         args.width,
@@ -495,7 +470,7 @@ fn json_bench(args: &Args, modes: &[(&str, &RunOutcome)], thread_scaling: Option
         args.rounds,
         args.alloc_stats,
         thread_scaling.unwrap_or("null"),
-        mode_objs,
+        json_bench_mode(o, args.alloc_stats),
     )
 }
 
@@ -548,32 +523,7 @@ fn main() {
 
     let mut trace = args.trace.as_deref().map(JsonlTrace::create);
 
-    let mode_on = |m: &str| args.mode == "both" || args.mode == m;
-    let cells: [(&'static str, PipelineMode); 2] = [
-        ("legacy", PipelineMode::Legacy),
-        ("incremental", PipelineMode::Incremental),
-    ];
-    let outcomes: Vec<(&'static str, RunOutcome)> = cells
-        .into_iter()
-        .filter(|&(label, _)| mode_on(label))
-        .map(|(label, mode)| {
-            (
-                label,
-                run_mode(
-                    &args,
-                    mode,
-                    label,
-                    &grid,
-                    &netlist,
-                    &assignment,
-                    trace.as_mut(),
-                ),
-            )
-        })
-        .collect();
-    let find = |label: &str| outcomes.iter().find(|(l, _)| *l == label).map(|(_, o)| o);
-    let legacy = find("legacy");
-    let incremental = find("incremental");
+    let outcome = run_cpla(&args, &grid, &netlist, &assignment, trace.as_mut());
 
     if let Some(t) = trace.as_mut() {
         t.out.flush().unwrap_or_else(|e| {
@@ -582,24 +532,20 @@ fn main() {
         });
     }
 
-    // --compare-threads: rerun the first enabled cell at 1 and N
-    // threads (fresh runs so the matrix cells above stay comparable)
-    // and record the wall ratio. This is the shard-scaling evidence the
-    // scale presets exist to collect.
+    // --compare-threads: rerun the pipeline at 1 and N threads (fresh
+    // runs so the measured run above stays untouched) and record the
+    // wall ratio. This is the shard-scaling evidence the scale presets
+    // exist to collect.
     let thread_scaling = args.compare_threads.map(|n| {
-        let (label, mode) = cells
-            .into_iter()
-            .find(|&(label, _)| mode_on(label))
-            .unwrap_or(cells[1]);
         let run_at = |threads: usize| {
             let mut a = args.clone();
             a.threads = threads;
-            run_mode(&a, mode, label, &grid, &netlist, &assignment, None)
+            run_cpla(&a, &grid, &netlist, &assignment, None)
         };
         let base = run_at(1);
         let scaled = run_at(n.max(1));
         format!(
-            "{{\"cell\":\"{label}\",\"threads\":{},\
+            "{{\"threads\":{},\
              \"wall_threads1_secs\":{:.6},\"wall_secs\":{:.6},\
              \"ratio\":{:.4}}}",
             n.max(1),
@@ -609,8 +555,7 @@ fn main() {
         )
     });
 
-    let modes: Vec<(&str, &RunOutcome)> = outcomes.iter().map(|(l, o)| (*l, o)).collect();
-    let recorders: Vec<&Recorder> = modes.iter().map(|(_, o)| &o.recorder).collect();
+    let recorders = [&outcome.recorder];
     if let Some(path) = &args.trace_chrome {
         write_artifact(path, "chrome trace", &obs::chrome::export(&recorders));
     }
@@ -621,24 +566,22 @@ fn main() {
         write_artifact(
             path,
             "bench baseline",
-            &json_bench(&args, &modes, thread_scaling.as_deref()),
+            &json_bench(&args, &outcome, thread_scaling.as_deref()),
         );
     }
 
     let mut fields = vec![format!(
         "\"design\":{{\"seed\":{},\"nets\":{},\"width\":{},\"height\":{},\
-         \"layers\":{},\"capacity\":{}}},\"threads\":{}",
-        args.seed, args.nets, args.width, args.height, args.layers, args.capacity, args.threads,
+         \"layers\":{},\"capacity\":{}}},\"threads\":{},\"{LABEL}\":{}",
+        args.seed,
+        args.nets,
+        args.width,
+        args.height,
+        args.layers,
+        args.capacity,
+        args.threads,
+        json_run(&outcome),
     )];
-    for (label, o) in &outcomes {
-        fields.push(format!("\"{label}\":{}", json_run(o)));
-    }
-    if let (Some(l), Some(i)) = (legacy, incremental) {
-        fields.push(format!(
-            "\"speedup\":{:.3}",
-            l.wall_secs / i.wall_secs.max(1e-12)
-        ));
-    }
     if let Some(ts) = &thread_scaling {
         fields.push(format!("\"thread_scaling\":{ts}"));
     }

@@ -13,7 +13,7 @@
 //! inputs, selects the released nets, and hands the round loop to the
 //! stage driver. Instrumentation attaches through
 //! [`StageObserver`](::flow::StageObserver) hooks rather than engine
-//! branches — [`PipelineStats`] is collected by one such observer.
+//! branches; [`PipelineStats`] carries only the run's work counters.
 
 use grid::Grid;
 use net::{Assignment, Netlist};
@@ -41,29 +41,6 @@ pub enum SolverKind {
     /// [`SolverKind::Sdp`] isolates how much the relaxation's ranking
     /// actually contributes.
     UniformRelaxation,
-}
-
-/// Which evaluation pipeline the engine runs.
-///
-/// The two pipelines share the same eight-stage skeleton; the mode is
-/// applied as *stage composition* when the pipeline is built (cache
-/// on/off, rank-stop on/off, exact gate vs pass-through), not as
-/// branches inside the round loop.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PipelineMode {
-    /// The pre-optimization pipeline: every partition is re-extracted
-    /// and re-solved from scratch each round, the ADMM solver always
-    /// cold-starts and runs to its residual tolerance, and mapped
-    /// solutions land without per-net timing verification. Kept as the
-    /// honest baseline `cpla-bench` compares against.
-    Legacy,
-    /// The incremental pipeline: partition results are cached across
-    /// rounds (the alternating division origin makes the same segment
-    /// sets recur), re-solves warm-start ADMM from the cached iterates
-    /// and stop early once the diagonal ranking settles, and every
-    /// touched critical net passes an exact incremental timing gate
-    /// before its changes land.
-    Incremental,
 }
 
 /// Engine configuration.
@@ -109,16 +86,10 @@ pub struct CplaConfig {
     /// Objective weight of neighbor (non-critical) segments relative to
     /// critical ones.
     pub neighbor_weight: f64,
-    /// Worker threads for partition solving.
+    /// Worker threads for partition solving, and shards for the
+    /// Partition stage's top-level K×K block grid. Results are
+    /// identical for every count.
     pub threads: usize,
-    /// Shards for the Partition stage's top-level K×K block grid: each
-    /// shard buckets and quadtree-refines its share of the blocks on its
-    /// own thread, with per-shard ledgers merged through the serial leaf
-    /// sort. `0` (the default) follows [`CplaConfig::threads`]. Results
-    /// are identical for every shard count.
-    pub partition_shards: usize,
-    /// Evaluation pipeline (see [`PipelineMode`]).
-    pub mode: PipelineMode,
     /// Re-verify the paper's constraints (4b/4c/4d) and the incremental
     /// Elmore caches against from-scratch recomputation at every gate,
     /// failing the run with [`FlowError::Invariant`](::flow::FlowError)
@@ -144,9 +115,8 @@ impl Default for CplaConfig {
             solver: SolverKind::Sdp(SdpSolver {
                 max_iterations: 200,
                 tolerance: 1e-4,
-                // Stop once the diagonal ordering has been stable for
-                // two consecutive samples (the incremental pipeline's
-                // default; [`PipelineMode::Legacy`] forces this off).
+                // Stop once the diagonal ordering of the assignment
+                // variables has been stable for two consecutive samples.
                 rank_stop_window: 2,
                 ..SdpSolver::default()
             }),
@@ -157,8 +127,6 @@ impl Default for CplaConfig {
             release_neighbors: false,
             neighbor_weight: 0.2,
             threads: 1,
-            partition_shards: 0,
-            mode: PipelineMode::Incremental,
             audit_invariants: false,
             alloc_stats: false,
         }
@@ -234,27 +202,14 @@ pub struct RoundStats {
     pub improved: bool,
 }
 
-/// Wall-time and work counters for one engine run, per pipeline stage.
+/// Work counters for one engine run.
 ///
 /// `cpla-bench` serializes this as JSON; the counters are what make the
 /// incremental pipeline's savings auditable (cache hit rate, gate
-/// outcomes, objective evaluations). Collected by an internal
-/// [`StageObserver`](::flow::StageObserver) riding the stage driver.
+/// outcomes, objective evaluations). Stage wall times live in the `obs`
+/// span rollups, not here.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct PipelineStats {
-    /// Seconds freezing the per-round timing contexts (Select).
-    pub context_secs: f64,
-    /// Seconds partitioning the released segments (Partition).
-    pub partition_secs: f64,
-    /// Seconds extracting partition problems (Extract, serial).
-    pub extract_secs: f64,
-    /// Seconds solving partition programs and post-mapping the results
-    /// (Solve + PostMap).
-    pub solve_secs: f64,
-    /// Seconds gating and landing accepted changes (Gate + Accept).
-    pub apply_secs: f64,
-    /// Seconds measuring round metrics (Measure).
-    pub metrics_secs: f64,
     /// Rounds executed.
     pub rounds: usize,
     /// Partitions solved from scratch (cache misses).
@@ -524,45 +479,19 @@ mod tests {
         );
         assert!(s.cache_hit_rate() > 0.0 && s.cache_hit_rate() < 1.0);
         assert!(s.evaluations > 0);
-        assert!(s.solve_secs > 0.0 && s.extract_secs > 0.0);
     }
 
     #[test]
-    fn legacy_mode_reports_no_cache_or_gate_activity() {
-        let (mut grid, nl, mut a) = fixture(3);
+    fn the_pipeline_leaves_a_valid_assignment() {
+        let (mut grid, nl, mut a) = fixture(9);
         let config = CplaConfig {
             critical_ratio: 0.05,
-            max_rounds: 3,
-            mode: PipelineMode::Legacy,
+            max_rounds: 2,
             ..CplaConfig::default()
         };
         let report = Cpla::new(config).run(&mut grid, &nl, &mut a).unwrap();
-        assert_eq!(report.stats.partitions_reused, 0);
-        assert_eq!(report.stats.gate_accepted, 0);
-        assert_eq!(report.stats.gate_rejected, 0);
         assert!(report.final_metrics.avg_tcp <= report.initial_metrics.avg_tcp);
         a.validate(&nl, &grid).unwrap();
-    }
-
-    #[test]
-    fn both_modes_leave_a_valid_assignment() {
-        // The pipelines may accept different (both non-regressing)
-        // states; each must end consistent with the grid.
-        for mode in [PipelineMode::Legacy, PipelineMode::Incremental] {
-            let (mut grid, nl, mut a) = fixture(9);
-            let config = CplaConfig {
-                critical_ratio: 0.05,
-                max_rounds: 2,
-                mode,
-                ..CplaConfig::default()
-            };
-            let report = Cpla::new(config).run(&mut grid, &nl, &mut a).unwrap();
-            assert!(
-                report.final_metrics.avg_tcp <= report.initial_metrics.avg_tcp,
-                "{mode:?}"
-            );
-            a.validate(&nl, &grid).unwrap();
-        }
     }
 
     #[test]
@@ -648,13 +577,16 @@ mod tests {
             assert_eq!(stages, Stage::ALL.to_vec());
             assert!(chunk.iter().all(|&(round, _)| round == r + 1));
         }
-        // The snapshot counters agree with the report's stats.
-        let last = rec.rounds.last().unwrap();
-        assert_eq!(
-            last.counters.partitions_solved,
-            report.stats.partitions_solved
-        );
-        assert_eq!(last.counters.evaluations, report.stats.evaluations);
+        // The report's stats are the last snapshot's counters plus the
+        // round count.
+        let last = rec.rounds.last().unwrap().counters;
+        let s = report.stats;
+        assert_eq!(s.rounds, report.rounds.len());
+        assert_eq!(s.partitions_solved, last.partitions_solved);
+        assert_eq!(s.partitions_reused, last.partitions_reused);
+        assert_eq!(s.evaluations, last.evaluations);
+        assert_eq!(s.gate_accepted, last.gate_accepted);
+        assert_eq!(s.gate_rejected, last.gate_rejected);
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //! One CPLA round is an explicit pipeline of eight [`Stage`]s — Select,
 //! Partition, Extract, Solve, PostMap, Gate, Accept, Measure — each a
 //! small struct with a single `run(&mut FlowContext)` method. The
-//! [`PipelineMode`](crate::PipelineMode) split is *stage composition*:
-//! [`stages_for`] parameterizes the Extract/Solve/PostMap/Gate stages
-//! (cache on/off, rank-stop on/off, exact gate vs pass-through) when the
-//! pipeline is built, so the round loop itself carries no mode branches.
+//! paper's incremental mechanisms live in the stages themselves: the
+//! cross-round partition cache (Extract/PostMap), warm-started ADMM with
+//! the rank-based early stop (Solve) and the exact timing gate (Gate).
 //!
 //! [`drive`] owns the round loop: it times every stage, forwards the
 //! boundaries to the attached [`StageObserver`]s, emits a
 //! [`RoundSnapshot`] per round, and restores the incumbent state when
-//! the flow stops improving. Wall-time bookkeeping lives in
-//! [`StatsCollector`] — itself just another observer.
+//! the flow stops improving. Stage wall times reach callers only
+//! through those observers; the report's [`PipelineStats`] is built
+//! from the run's counters at the end.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -27,7 +27,7 @@ use solver::{SolveScratch, WarmStart};
 use timing::TimingModel;
 
 use crate::context::{timing_context_into, SegCtx, SegCtxTable};
-use crate::engine::{CplaConfig, CplaReport, PipelineMode, PipelineStats, RoundStats, SolverKind};
+use crate::engine::{CplaConfig, CplaReport, PipelineStats, RoundStats, SolverKind};
 use crate::mapping::{post_map, timing_gate};
 use crate::partition::{partition_segments_sharded, Partition, PartitionStats};
 use crate::problem::PartitionProblem;
@@ -239,30 +239,17 @@ pub(crate) trait FlowStage {
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError>;
 }
 
-/// Composes the stage pipeline for a [`PipelineMode`].
-///
-/// Both pipelines share the same eight-stage skeleton; the mode only
-/// parameterizes the stages that embody the paper's incremental
-/// mechanisms — the cross-round cache (Extract/PostMap), the rank-based
-/// early stop (Solve) and the exact timing gate (Gate).
-pub(crate) fn stages_for(mode: PipelineMode) -> Vec<Box<dyn FlowStage>> {
-    let incremental = mode == PipelineMode::Incremental;
+/// The eight-stage pipeline, in [`Stage::ALL`] order.
+fn stages() -> Vec<Box<dyn FlowStage>> {
     vec![
         Box::new(SelectStage),
         Box::new(PartitionStage),
-        Box::new(ExtractStage {
-            use_cache: incremental,
-        }),
+        Box::new(ExtractStage),
         Box::new(SolveStage {
-            rank_stop: incremental,
             scratch: SolveScratch::new(),
         }),
-        Box::new(PostMapStage {
-            use_cache: incremental,
-        }),
-        Box::new(GateStage {
-            exact_timing: incremental,
-        }),
+        Box::new(PostMapStage),
+        Box::new(GateStage),
         Box::new(AcceptStage),
         Box::new(MeasureStage),
     ]
@@ -323,11 +310,6 @@ impl FlowStage for PartitionStage {
         } else {
             (0, 0)
         };
-        let shards = if ctx.config.partition_shards == 0 {
-            ctx.config.threads.max(1)
-        } else {
-            ctx.config.partition_shards
-        };
         let (partitions, pstats, ledgers) = partition_segments_sharded(
             &ctx.arena,
             &ctx.segments,
@@ -336,7 +318,7 @@ impl FlowStage for PartitionStage {
             ctx.config.uniform_divisions,
             ctx.config.max_segments_per_partition,
             offset,
-            shards,
+            ctx.config.threads.max(1),
         );
         // Each shard ledger becomes one leaf span, so partition-shard
         // activity flows through the same observer seam as solve leaves.
@@ -364,9 +346,7 @@ impl FlowStage for PartitionStage {
 /// Extracts per-partition mathematical programs serially, splitting them
 /// into cache hits (whose stored result is reused verbatim) and misses
 /// (carrying the stale entry's warm-start iterates, if any).
-struct ExtractStage {
-    use_cache: bool,
-}
+struct ExtractStage;
 
 impl FlowStage for ExtractStage {
     fn stage(&self) -> Stage {
@@ -404,18 +384,16 @@ impl FlowStage for ExtractStage {
                 &config.problem,
             );
             let mut warm = None;
-            if self.use_cache {
-                if let Some(entry) = cache.get(&part.segments) {
-                    if entry.problem == problem {
-                        counters.partitions_reused += 1;
-                        // alloc: cache hits hand out owned copies; the
-                        // entry stays resident for later rounds.
-                        results[pi] = entry.result.clone();
-                        continue;
-                    }
-                    // alloc: warm starts are per-leaf owned seeds.
-                    warm = entry.warm.clone();
+            if let Some(entry) = cache.get(&part.segments) {
+                if entry.problem == problem {
+                    counters.partitions_reused += 1;
+                    // alloc: cache hits hand out owned copies; the
+                    // entry stays resident for later rounds.
+                    results[pi] = entry.result.clone();
+                    continue;
                 }
+                // alloc: warm starts are per-leaf owned seeds.
+                warm = entry.warm.clone();
             }
             misses.push((pi, problem, warm));
         }
@@ -431,7 +409,6 @@ impl FlowStage for ExtractStage {
 /// extracted problem and frozen warm start, so the claim order cannot
 /// change any result.
 struct SolveStage {
-    rank_stop: bool,
     /// Per-leaf solve scratch for the serial path, kept across rounds
     /// so buffers that grew in one round are reused by the next;
     /// parallel workers carry their own.
@@ -442,7 +419,6 @@ impl SolveStage {
     /// Runs the configured mathematical program on one extracted
     /// problem, without rounding or acceptance (that is PostMap's job).
     fn solve_raw(
-        rank_stop: bool,
         config: &CplaConfig,
         problem: &PartitionProblem,
         warm: Option<&WarmStart>,
@@ -452,12 +428,8 @@ impl SolveStage {
             SolverKind::Sdp(mut sdp_config) => {
                 // The rank-stability early stop ranks only the
                 // assignment variables (the slacks never influence
-                // post-mapping); the legacy pipeline disables it.
-                if rank_stop {
-                    sdp_config.rank_stop_vars = problem.num_variables();
-                } else {
-                    sdp_config.rank_stop_window = 0;
-                }
+                // post-mapping).
+                sdp_config.rank_stop_vars = problem.num_variables();
                 let (sdp, _) = problem.to_sdp();
                 let sol = sdp_config.try_solve_from_with(&sdp, warm, scratch)?;
                 Ok(RawSolve::Relaxed {
@@ -485,7 +457,6 @@ impl FlowStage for SolveStage {
     }
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-        let rank_stop = self.rank_stop;
         let config = &ctx.config;
         let misses = &ctx.misses;
         let round = ctx.round;
@@ -499,7 +470,7 @@ impl FlowStage for SolveStage {
             for (pi, p, w) in misses.iter() {
                 let alloc0 = obs::alloc::thread_stats();
                 let start_secs = anchor.elapsed().as_secs_f64();
-                out.push(Self::solve_raw(rank_stop, config, p, w.as_ref(), scratch));
+                out.push(Self::solve_raw(config, p, w.as_ref(), scratch));
                 let dur_secs = anchor.elapsed().as_secs_f64() - start_secs;
                 let alloc = obs::alloc::thread_stats().since(alloc0);
                 ctx.leaves.push(LeafSpan {
@@ -548,8 +519,7 @@ impl FlowStage for SolveStage {
                             let (pi, p, w) = &misses[mi];
                             let alloc0 = obs::alloc::thread_stats();
                             let start_secs = anchor.elapsed().as_secs_f64();
-                            let out =
-                                Self::solve_raw(rank_stop, config, p, w.as_ref(), &mut scratch);
+                            let out = Self::solve_raw(config, p, w.as_ref(), &mut scratch);
                             let dur_secs = anchor.elapsed().as_secs_f64() - start_secs;
                             let alloc = obs::alloc::thread_stats().since(alloc0);
                             let leaf = LeafSpan {
@@ -590,9 +560,7 @@ impl FlowStage for SolveStage {
 /// Rounds the raw solutions to integral layers (Algorithm 1), judges
 /// acceptance against the partition objective, refreshes the cache, and
 /// merges the accepted per-segment proposals back in partition order.
-struct PostMapStage {
-    use_cache: bool,
-}
+struct PostMapStage;
 
 impl FlowStage for PostMapStage {
     fn stage(&self) -> Stage {
@@ -626,18 +594,16 @@ impl FlowStage for PostMapStage {
             let result: Vec<(SegmentRef, usize)> =
                 problem.segments.iter().copied().zip(layers).collect();
             ctx.counters.partitions_solved += 1;
-            if self.use_cache {
-                // alloc: the cross-round cache owns its key and entry.
-                ctx.cache.insert(
-                    problem.segments.clone(),
-                    CacheEntry {
-                        // alloc: the entry keeps its own copy of the row.
-                        result: result.clone(),
-                        warm: warm_out,
-                        problem,
-                    },
-                );
-            }
+            // alloc: the cross-round cache owns its key and entry.
+            ctx.cache.insert(
+                problem.segments.clone(),
+                CacheEntry {
+                    // alloc: the entry keeps its own copy of the row.
+                    result: result.clone(),
+                    warm: warm_out,
+                    problem,
+                },
+            );
             ctx.results[pi] = result;
         }
         ctx.proposals = ctx.results.drain(..).flatten().collect();
@@ -646,12 +612,9 @@ impl FlowStage for PostMapStage {
 }
 
 /// Groups the proposals per net (in index order, so application is
-/// deterministic), drops no-op changes, and — in the incremental
-/// pipeline — verifies each critical net's proposal against its exact
-/// Elmore delay before letting it land.
-struct GateStage {
-    exact_timing: bool,
-}
+/// deterministic), drops no-op changes, and verifies each critical net's
+/// proposal against its exact Elmore delay before letting it land.
+struct GateStage;
 
 impl FlowStage for GateStage {
     fn stage(&self) -> Stage {
@@ -694,7 +657,7 @@ impl FlowStage for GateStage {
             // so a mapped win can still be an exact-timing loss.
             // Neighbor nets bypass the gate — demoting them off
             // premium layers raises their own delay by design.
-            let layers = if self.exact_timing && ctx.is_released.contains(&ni) {
+            let layers = if ctx.is_released.contains(&ni) {
                 match timing_gate(&ctx.model, net, &current, &real) {
                     Some(layers) => {
                         ctx.counters.gate_accepted += 1;
@@ -841,43 +804,6 @@ fn soft_cost(alpha: f64, problem: &PartitionProblem, choices: &[usize]) -> f64 {
     cost + alpha * mean_linear * overflow as f64
 }
 
-/// Reassembles [`PipelineStats`] from observer callbacks — the wall-time
-/// and counter instrumentation is itself just a [`StageObserver`].
-#[derive(Default)]
-pub(crate) struct StatsCollector {
-    stats: PipelineStats,
-}
-
-impl StatsCollector {
-    pub(crate) fn into_stats(self) -> PipelineStats {
-        self.stats
-    }
-}
-
-impl StageObserver for StatsCollector {
-    fn on_stage_end(&mut self, _round: usize, stage: Stage, seconds: f64) {
-        match stage {
-            Stage::Select => self.stats.context_secs += seconds,
-            Stage::Partition => self.stats.partition_secs += seconds,
-            Stage::Extract => self.stats.extract_secs += seconds,
-            Stage::Solve | Stage::PostMap => self.stats.solve_secs += seconds,
-            Stage::Gate | Stage::Accept => self.stats.apply_secs += seconds,
-            Stage::Measure => self.stats.metrics_secs += seconds,
-            _ => {}
-        }
-    }
-
-    fn on_round_end(&mut self, snapshot: &RoundSnapshot) {
-        self.stats.rounds += 1;
-        let c = snapshot.counters;
-        self.stats.partitions_solved = c.partitions_solved;
-        self.stats.partitions_reused = c.partitions_reused;
-        self.stats.evaluations = c.evaluations;
-        self.stats.gate_accepted = c.gate_accepted;
-        self.stats.gate_rejected = c.gate_rejected;
-    }
-}
-
 /// Runs the full stage pipeline: the outer round loop, observer
 /// notification, stagnation stop, and incumbent restoration.
 pub(crate) fn drive(
@@ -889,18 +815,16 @@ pub(crate) fn drive(
     initial_metrics: Metrics,
     observers: &mut [&mut dyn StageObserver],
 ) -> Result<CplaReport, FlowError> {
-    let mut stats = StatsCollector::default();
     // Scoped allocation accounting: a no-op unless the hosting binary
     // installed `obs::CountingAlloc`; restored on every exit path.
     let _alloc_scope = config.alloc_stats.then(obs::alloc::ScopedEnable::new);
-    let mut stages = stages_for(config.mode);
+    let mut stages = stages();
     let mut ctx = FlowContext::new(config, grid, netlist, assignment, released, initial_metrics);
 
     for round in 1..=ctx.config.max_rounds {
         ctx.round = round;
         for stage in stages.iter_mut() {
             let s = stage.stage();
-            stats.on_stage_start(round, s);
             for obs in observers.iter_mut() {
                 obs.on_stage_start(round, s);
             }
@@ -911,12 +835,10 @@ pub(crate) fn drive(
             // threads) are delivered here, on the driver thread, before
             // the stage-end boundary — observers stay lock-free.
             for leaf in ctx.leaves.drain(..) {
-                stats.on_leaf(&leaf);
                 for obs in observers.iter_mut() {
                     obs.on_leaf(&leaf);
                 }
             }
-            stats.on_stage_end(round, s, secs);
             for obs in observers.iter_mut() {
                 obs.on_stage_end(round, s, secs);
             }
@@ -927,7 +849,6 @@ pub(crate) fn drive(
             improved: ctx.last_improved,
             counters: ctx.counters,
         };
-        stats.on_round_end(&snapshot);
         for obs in observers.iter_mut() {
             obs.on_round_end(&snapshot);
         }
@@ -944,12 +865,21 @@ pub(crate) fn drive(
         audit::check_solution(ctx.grid, ctx.netlist, ctx.assignment)?;
     }
     let final_metrics = Metrics::measure(ctx.grid, ctx.netlist, ctx.assignment, ctx.released);
+    let c = ctx.counters;
+    let stats = PipelineStats {
+        rounds: ctx.rounds.len(),
+        partitions_solved: c.partitions_solved,
+        partitions_reused: c.partitions_reused,
+        evaluations: c.evaluations,
+        gate_accepted: c.gate_accepted,
+        gate_rejected: c.gate_rejected,
+    };
     Ok(CplaReport {
         released: released.to_vec(),
         initial_metrics,
         final_metrics,
         rounds: ctx.rounds,
         partition_stats: ctx.first_round_pstats,
-        stats: stats.into_stats(),
+        stats,
     })
 }

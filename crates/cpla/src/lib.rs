@@ -51,9 +51,7 @@ pub mod partition;
 pub mod problem;
 
 pub use context::{timing_context, timing_context_into, SegCtx, SegCtxTable};
-pub use engine::{
-    Cpla, CplaConfig, CplaReport, PipelineMode, PipelineStats, RoundStats, SolverKind,
-};
+pub use engine::{Cpla, CplaConfig, CplaReport, PipelineStats, RoundStats, SolverKind};
 // Engine-neutral pieces now live in the workspace-level `flow` crate;
 // re-exported so existing `cpla::Metrics` paths keep working.
 pub use ::flow::{select_critical_nets, FlowError, Metrics};

@@ -5,17 +5,17 @@
 //! cursor (see the `// sync:` note in `flow.rs`); determinism rests on
 //! every claimed result being written back to its own pre-allocated
 //! slot, not on claim order. The sharded partitioner splits the
-//! top-level block grid across worker threads, each filling a private
-//! ledger, and merges the ledgers through the serial-merge seam.
-//! Cranking the thread and shard counts from 1 to 8 across several
-//! fixed seeds explores many interleavings (the OS scheduler varies
-//! them between counts and runs) and asserts every one of them lands
-//! on the serial answer, bit for bit.
+//! top-level block grid across one shard per thread, each filling a
+//! private ledger, and merges the ledgers through the serial-merge
+//! seam. Cranking the thread count from 1 to 8 across several fixed
+//! seeds explores many interleavings (the OS scheduler varies them
+//! between counts and runs) and asserts every one of them lands on the
+//! serial answer, bit for bit.
 
 use cpla::{Cpla, CplaConfig};
 use route::{initial_assignment, route_netlist, RouterConfig};
 
-fn run(seed: u64, threads: usize, partition_shards: usize) -> (net::Assignment, u64) {
+fn run(seed: u64, threads: usize) -> (net::Assignment, u64) {
     let cfg = ispd::SyntheticConfig::small(seed);
     let (mut grid, specs) = cfg.generate().expect("valid config");
     let netlist = route_netlist(&grid, &specs, &RouterConfig::default());
@@ -24,7 +24,6 @@ fn run(seed: u64, threads: usize, partition_shards: usize) -> (net::Assignment, 
         critical_ratio: 0.05,
         max_rounds: 2,
         threads,
-        partition_shards,
         ..CplaConfig::default()
     })
     .run(&mut grid, &netlist, &mut assignment)
@@ -34,12 +33,12 @@ fn run(seed: u64, threads: usize, partition_shards: usize) -> (net::Assignment, 
 
 #[test]
 fn every_thread_count_matches_the_serial_result() {
-    // partition_shards = 0 follows the thread count, so this also
+    // The partitioner runs one shard per thread, so this also
     // exercises shards 1..=8 alongside the solver interleavings.
     for seed in [3, 6, 42] {
-        let (serial_assignment, serial_bits) = run(seed, 1, 0);
+        let (serial_assignment, serial_bits) = run(seed, 1);
         for threads in 2..=8 {
-            let (assignment, bits) = run(seed, threads, 0);
+            let (assignment, bits) = run(seed, threads);
             assert_eq!(
                 assignment, serial_assignment,
                 "seed {seed}: threads={threads} diverged from serial"
@@ -47,28 +46,6 @@ fn every_thread_count_matches_the_serial_result() {
             assert_eq!(
                 bits, serial_bits,
                 "seed {seed}: threads={threads} perturbed avg_tcp"
-            );
-        }
-    }
-}
-
-#[test]
-fn every_shard_count_matches_the_serial_ledger_merge() {
-    // Decouple the partitioner's shard count from the solver's thread
-    // count: a fixed thread count with shards swept 1..=8 isolates the
-    // ledger-merge seam, so a divergence here is a partition-order bug,
-    // not a solver-claim bug.
-    for seed in [3, 6, 42] {
-        let (serial_assignment, serial_bits) = run(seed, 2, 1);
-        for shards in 2..=8 {
-            let (assignment, bits) = run(seed, 2, shards);
-            assert_eq!(
-                assignment, serial_assignment,
-                "seed {seed}: shards={shards} diverged from the serial ledger merge"
-            );
-            assert_eq!(
-                bits, serial_bits,
-                "seed {seed}: shards={shards} perturbed avg_tcp"
             );
         }
     }

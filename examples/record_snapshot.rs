@@ -1,30 +1,23 @@
 //! Recorder for the pinned engine snapshot: prints bit-exact final
 //! metrics of the engine on the fixed workloads that
 //! `tests/stage_pipeline_snapshot.rs` pins — `SyntheticConfig::small`
-//! in both pipeline modes, plus two congested Table 2 designs whose
-//! leaves carry binding capacity slacks.
+//! seeds 3 and 42, plus two congested Table 2 designs whose leaves
+//! carry binding capacity slacks.
 
-use cpla_suite::cpla::{Cpla, CplaConfig, PipelineMode};
+use cpla_suite::cpla::{Cpla, CplaConfig};
 use cpla_suite::ispd::SyntheticConfig;
 use cpla_suite::route::{initial_assignment, route_netlist, RouterConfig};
 
 fn main() {
     let mut rows: Vec<(String, SyntheticConfig, CplaConfig)> = Vec::new();
-    for mode in [PipelineMode::Legacy, PipelineMode::Incremental] {
-        for seed in [3u64, 42] {
-            let config = CplaConfig {
-                critical_ratio: 0.05,
-                max_rounds: 8,
-                threads: 1,
-                mode,
-                ..CplaConfig::default()
-            };
-            rows.push((
-                format!("mode={mode:?} seed={seed}"),
-                SyntheticConfig::small(seed),
-                config,
-            ));
-        }
+    for seed in [3u64, 42] {
+        let config = CplaConfig {
+            critical_ratio: 0.05,
+            max_rounds: 8,
+            threads: 1,
+            ..CplaConfig::default()
+        };
+        rows.push((format!("seed={seed}"), SyntheticConfig::small(seed), config));
     }
     for name in ["adaptec1", "newblue1"] {
         let design = SyntheticConfig::named(name).expect("Table 2 design");

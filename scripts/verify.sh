@@ -41,9 +41,11 @@ cargo test --workspace -q --offline
 
 echo "==> observability artifacts: cpla-bench + cpla-bench-check"
 # One instrumented rep of the default workload; the checker validates
-# that both exporters still emit parseable artifacts and that the
-# BENCH_cpla.json stage/mode keys match the committed baseline (values
-# are machine-dependent and allowed to drift). The root `cargo build`
+# that both exporters still emit parseable artifacts and that
+# BENCH_cpla.json matches the committed schema-4 baseline: the same mode
+# and stage keys, and bit-equal quality fields (Avg/Max T_cp, wire/via
+# overflow, via count, rounds, released). Wall and stage times are
+# machine-dependent and not compared. The root `cargo build`
 # only covers the root package's deps, so build the bench bins
 # explicitly.
 cargo build --release --offline -p cpla-bench

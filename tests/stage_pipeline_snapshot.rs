@@ -1,5 +1,5 @@
-//! Differential and golden tests pinning the stage-based driver to the
-//! pre-refactor engine, bit for bit.
+//! Golden tests pinning the stage-based driver to the pre-refactor
+//! engine, bit for bit.
 //!
 //! The `SyntheticConfig::small` rows below were recorded from the
 //! monolithic `Cpla::run` loop *before* it was decomposed into discrete
@@ -16,7 +16,7 @@
 //! carry binding slacks, and multi-round `adaptec1` exercises the
 //! warm-started re-solves too.
 
-use cpla::{Cpla, CplaConfig, PipelineMode};
+use cpla::{Cpla, CplaConfig};
 use ispd::SyntheticConfig;
 use route::{initial_assignment, route_netlist, RouterConfig};
 
@@ -31,7 +31,6 @@ enum Design {
 
 /// One recorded engine outcome on a fixed workload.
 struct Expected {
-    mode: PipelineMode,
     design: Design,
     /// `f64::to_bits` of the final released-average delay.
     avg_bits: u64,
@@ -61,50 +60,6 @@ struct Expected {
 /// did not pick, so every row moved.
 const SNAPSHOT: &[Expected] = &[
     Expected {
-        mode: PipelineMode::Legacy,
-        design: Design::Small(3),
-        avg_bits: 0x4081dcb3521e8fc0,
-        max_bits: 0x4087a09bd0b1666a,
-        round_avg_bits: &[
-            0x40839164d5c8bc60,
-            0x4081dcb3521e8fc0,
-            0x4083995536d424c1,
-            0x40822120fa38207b,
-        ],
-        via_overflow: 0,
-        via_count: 354,
-        rounds: 4,
-        partitions_solved: 38,
-        partitions_reused: 0,
-        evaluations: 76,
-        gate_accepted: 0,
-        gate_rejected: 0,
-        released: &[63, 72, 118, 51, 62, 24],
-    },
-    Expected {
-        mode: PipelineMode::Legacy,
-        design: Design::Small(42),
-        avg_bits: 0x40894b561c57ad6f,
-        max_bits: 0x409eee5ede61f141,
-        round_avg_bits: &[
-            0x408b04a9c540b455,
-            0x4089735064bb9f00,
-            0x40894b561c57ad6f,
-            0x40898658a3ac02fb,
-            0x40895d1ed922e383,
-        ],
-        via_overflow: 0,
-        via_count: 372,
-        rounds: 5,
-        partitions_solved: 42,
-        partitions_reused: 0,
-        evaluations: 84,
-        gate_accepted: 0,
-        gate_rejected: 0,
-        released: &[46, 48, 85, 19, 64, 0],
-    },
-    Expected {
-        mode: PipelineMode::Incremental,
         design: Design::Small(3),
         avg_bits: 0x40815a6112938e9e,
         max_bits: 0x4087a09bd0b1666a,
@@ -125,7 +80,6 @@ const SNAPSHOT: &[Expected] = &[
         released: &[63, 72, 118, 51, 62, 24],
     },
     Expected {
-        mode: PipelineMode::Incremental,
         design: Design::Small(42),
         avg_bits: 0x40881471ccf1109d,
         max_bits: 0x409e5631bc4e257a,
@@ -149,7 +103,6 @@ const SNAPSHOT: &[Expected] = &[
         released: &[46, 48, 85, 19, 64, 0],
     },
     Expected {
-        mode: PipelineMode::Incremental,
         design: Design::Named("adaptec1"),
         avg_bits: 0x40ce98a63be5dfeb,
         max_bits: 0x40db4e1d95907722,
@@ -175,7 +128,6 @@ const SNAPSHOT: &[Expected] = &[
         ],
     },
     Expected {
-        mode: PipelineMode::Incremental,
         design: Design::Named("newblue1"),
         avg_bits: 0x40d6dcdd8859db98,
         max_bits: 0x40e5cf348f34cfc4,
@@ -195,7 +147,7 @@ const SNAPSHOT: &[Expected] = &[
     },
 ];
 
-fn run(mode: PipelineMode, design: Design) -> cpla::CplaReport {
+fn run(design: Design) -> cpla::CplaReport {
     let (cfg, config) = match design {
         Design::Small(seed) => (
             SyntheticConfig::small(seed),
@@ -203,7 +155,6 @@ fn run(mode: PipelineMode, design: Design) -> cpla::CplaReport {
                 critical_ratio: 0.05,
                 max_rounds: 8,
                 threads: 1,
-                mode,
                 ..CplaConfig::default()
             },
         ),
@@ -211,7 +162,6 @@ fn run(mode: PipelineMode, design: Design) -> cpla::CplaReport {
             SyntheticConfig::named(name).expect("Table 2 design"),
             CplaConfig {
                 threads: 1,
-                mode,
                 ..CplaConfig::default()
             },
         ),
@@ -227,8 +177,8 @@ fn run(mode: PipelineMode, design: Design) -> cpla::CplaReport {
 #[test]
 fn stage_driver_matches_the_pre_refactor_engine_bit_for_bit() {
     for e in SNAPSHOT {
-        let r = run(e.mode, e.design);
-        let label = format!("mode={:?} design={:?}", e.mode, e.design);
+        let r = run(e.design);
+        let label = format!("design={:?}", e.design);
         assert_eq!(
             r.final_metrics.avg_tcp.to_bits(),
             e.avg_bits,
@@ -264,33 +214,5 @@ fn stage_driver_matches_the_pre_refactor_engine_bit_for_bit() {
             "{label}: gate_rejected"
         );
         assert_eq!(r.released, e.released, "{label}: released set");
-    }
-}
-
-#[test]
-fn incremental_never_loses_to_legacy() {
-    // The two pipelines intentionally diverge: the incremental mode's
-    // per-net exact-timing gate filters mapped proposals the legacy
-    // mode accepts wholesale. The differential invariant worth pinning
-    // is dominance — the gate exists to reject regressions, so the
-    // incremental answer must be at least as good on every recorded
-    // workload, at no overflow cost.
-    for seed in [3u64, 42] {
-        let legacy = run(PipelineMode::Legacy, Design::Small(seed));
-        let incremental = run(PipelineMode::Incremental, Design::Small(seed));
-        assert!(
-            incremental.final_metrics.avg_tcp <= legacy.final_metrics.avg_tcp,
-            "seed {seed}: Avg(Tcp) {} worse than legacy {}",
-            incremental.final_metrics.avg_tcp,
-            legacy.final_metrics.avg_tcp
-        );
-        assert!(
-            incremental.final_metrics.max_tcp <= legacy.final_metrics.max_tcp,
-            "seed {seed}: Max(Tcp) {} worse than legacy {}",
-            incremental.final_metrics.max_tcp,
-            legacy.final_metrics.max_tcp
-        );
-        assert!(incremental.final_metrics.via_overflow <= legacy.final_metrics.via_overflow);
-        assert_eq!(legacy.released, incremental.released);
     }
 }
