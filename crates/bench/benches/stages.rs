@@ -10,19 +10,24 @@
 
 #[cfg(feature = "criterion-benches")]
 mod real {
+    use cpla::partition::partition_segments_sharded;
     use cpla::problem::{PartitionProblem, ProblemConfig};
+    use cpla::{timing_context_into, SegCtxTable};
     use cpla_bench::harness::Harness;
     use cpla_bench::Prepared;
     use ispd::SyntheticConfig;
-    use net::SegmentRef;
+    use net::{DesignArena, SegmentRef};
     use solver::{SdpSolver, SymMatrix};
 
-    /// Shared fixture: a routed small benchmark plus one representative
-    /// partition problem of the default (10-segment) size.
+    /// Shared fixture: a routed small benchmark, its arena and frozen
+    /// context table, plus one representative partition problem of the
+    /// default (10-segment) size.
     struct Fixture {
         prepared: Prepared,
         released: Vec<usize>,
         segments: Vec<SegmentRef>,
+        arena: DesignArena,
+        ctx: SegCtxTable,
         problem: PartitionProblem,
     }
 
@@ -38,20 +43,26 @@ mod real {
                     .map(move |s| SegmentRef::new(ni as u32, s as u32))
             })
             .collect();
-        let ctx = cpla::timing_context(
+        let arena = DesignArena::from_netlist(&prepared.netlist);
+        let mut ctx = SegCtxTable::new(&arena, &segments);
+        timing_context_into(
             &prepared.grid,
             &prepared.netlist,
             &prepared.assignment,
             &released,
             4.0,
+            None,
+            &mut ctx,
         );
-        let (parts, _) = cpla::partition::partition_segments(
-            &prepared.netlist,
+        let (parts, _, _) = partition_segments_sharded(
+            &arena,
             &segments,
             prepared.grid.width(),
             prepared.grid.height(),
             4,
             10,
+            (0, 0),
+            1,
         );
         let part = parts
             .iter()
@@ -63,19 +74,21 @@ mod real {
             &prepared.netlist,
             &prepared.assignment,
             &part.segments,
-            &|r| ctx[&r],
+            &|r| *ctx.get(r).expect("released segment"),
             &ProblemConfig::default(),
         );
         Fixture {
             prepared,
             released,
             segments,
+            arena,
+            ctx,
             problem,
         }
     }
 
     pub fn main() {
-        let f = fixture();
+        let mut f = fixture();
         let mut h = Harness::new();
 
         h.bench("timing/analyze_released", || {
@@ -87,41 +100,38 @@ mod real {
             )
         });
 
-        h.bench("context/timing_context", || {
-            cpla::timing_context(
+        h.bench("context/timing_context_into", || {
+            timing_context_into(
                 &f.prepared.grid,
                 &f.prepared.netlist,
                 &f.prepared.assignment,
                 &f.released,
                 4.0,
+                None,
+                &mut f.ctx,
             )
         });
 
         h.bench("partition/quadtree", || {
-            cpla::partition::partition_segments(
-                &f.prepared.netlist,
+            partition_segments_sharded(
+                &f.arena,
                 &f.segments,
                 f.prepared.grid.width(),
                 f.prepared.grid.height(),
                 4,
                 10,
+                (0, 0),
+                1,
             )
         });
 
-        let ctx = cpla::timing_context(
-            &f.prepared.grid,
-            &f.prepared.netlist,
-            &f.prepared.assignment,
-            &f.released,
-            4.0,
-        );
         h.bench("problem/extract", || {
             PartitionProblem::extract(
                 &f.prepared.grid,
                 &f.prepared.netlist,
                 &f.prepared.assignment,
                 &f.problem.segments,
-                &|r| ctx[&r],
+                &|r| *f.ctx.get(r).expect("released segment"),
                 &ProblemConfig::default(),
             )
         });

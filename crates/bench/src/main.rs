@@ -170,6 +170,15 @@ impl Default for Args {
     }
 }
 
+/// Parses the value `v` of the numeric flag `name`, exiting 2 with a
+/// named message when it is malformed.
+fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> T {
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("invalid value for {name}: {v}");
+        std::process::exit(2);
+    })
+}
+
 fn parse_args() -> Args {
     let mut args = Args::default();
     let mut it = std::env::args().skip(1);
@@ -181,23 +190,23 @@ fn parse_args() -> Args {
             })
         };
         match flag.as_str() {
-            "--seed" => args.seed = value("--seed").parse().unwrap(),
-            "--nets" => args.nets = value("--nets").parse().unwrap(),
+            "--seed" => args.seed = parse_num("--seed", &value("--seed")),
+            "--nets" => args.nets = parse_num("--nets", &value("--nets")),
             "--size" => {
                 let v = value("--size");
                 let (w, h) = v.split_once('x').unwrap_or_else(|| {
                     eprintln!("--size expects WxH, got {v}");
                     std::process::exit(2);
                 });
-                args.width = w.parse().unwrap();
-                args.height = h.parse().unwrap();
+                args.width = parse_num("--size", w);
+                args.height = parse_num("--size", h);
             }
-            "--layers" => args.layers = value("--layers").parse().unwrap(),
-            "--capacity" => args.capacity = value("--capacity").parse().unwrap(),
-            "--threads" => args.threads = value("--threads").parse().unwrap(),
-            "--ratio" => args.ratio = value("--ratio").parse().unwrap(),
-            "--rounds" => args.rounds = value("--rounds").parse().unwrap(),
-            "--reps" => args.reps = value("--reps").parse().unwrap(),
+            "--layers" => args.layers = parse_num("--layers", &value("--layers")),
+            "--capacity" => args.capacity = parse_num("--capacity", &value("--capacity")),
+            "--threads" => args.threads = parse_num("--threads", &value("--threads")),
+            "--ratio" => args.ratio = parse_num("--ratio", &value("--ratio")),
+            "--rounds" => args.rounds = parse_num("--rounds", &value("--rounds")),
+            "--reps" => args.reps = parse_num("--reps", &value("--reps")),
             "--trace" => args.trace = Some(value("--trace")),
             "--alloc-stats" => args.alloc_stats = true,
             "--trace-chrome" => args.trace_chrome = Some(value("--trace-chrome")),
@@ -215,7 +224,8 @@ fn parse_args() -> Args {
                 args.preset = Some(v);
             }
             "--compare-threads" => {
-                args.compare_threads = Some(value("--compare-threads").parse().unwrap())
+                args.compare_threads =
+                    Some(parse_num("--compare-threads", &value("--compare-threads")))
             }
             "--assigners" => {
                 let v = value("--assigners");

@@ -60,7 +60,6 @@ fn triage_reproducer() {
             let grid = inst.grid();
             let netlist = inst.netlist();
             let assignment = inst.assignment();
-            let ctxmap = cpla::timing_context(grid, netlist, assignment, &released, 2.0);
             let segments: Vec<net::SegmentRef> = released
                 .iter()
                 .flat_map(|&ni| {
@@ -68,12 +67,15 @@ fn triage_reproducer() {
                         .map(move |s| net::SegmentRef::new(ni as u32, s as u32))
                 })
                 .collect();
+            let arena = net::DesignArena::from_netlist(netlist);
+            let mut ctx = cpla::SegCtxTable::new(&arena, &segments);
+            cpla::timing_context_into(grid, netlist, assignment, &released, 2.0, None, &mut ctx);
             let problem = cpla::problem::PartitionProblem::extract(
                 grid,
                 netlist,
                 assignment,
                 &segments,
-                &|s| ctxmap[&s],
+                &|s| *ctx.get(s).unwrap(),
                 &cpla::problem::ProblemConfig::default(),
             );
             for (i, (cands, costs)) in problem

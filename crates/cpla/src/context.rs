@@ -19,8 +19,10 @@
 //! segments are steered to low-capacitance (lower) layers because their
 //! wire load rides on the shared path resistance `A_i`. This is the
 //! mechanism by which CPLA beats a uniform-sum objective on `Max(T_cp)`.
-
-use std::collections::HashMap;
+//!
+//! [`timing_context_into`] freezes these contexts once per round into a
+//! dense [`SegCtxTable`] indexed through the design arena, which the
+//! Extract stage reads one segment at a time.
 
 use grid::Grid;
 use net::{DesignArena, Netlist, SegmentRef};
@@ -41,117 +43,6 @@ pub struct SegCtx {
     /// Criticality weight of the pin at the segment's child-side node
     /// (0 when there is none).
     pub pin_weight: f64,
-}
-
-/// Builds the frozen context for every segment of the released nets.
-///
-/// `focus` is the criticality exponent: sink `k` receives weight
-/// `(delay_k / delay_max)^focus`, so `focus = 0` reproduces TILA-style
-/// uniform weighting and larger values concentrate the objective on the
-/// worst paths (the paper's "one or several timing critical paths").
-///
-/// # Panics
-///
-/// Panics if a released index is out of range.
-pub fn timing_context(
-    grid: &Grid,
-    netlist: &Netlist,
-    assignment: &net::Assignment,
-    released: &[usize],
-    focus: f64,
-) -> HashMap<SegmentRef, SegCtx> {
-    let mut out = HashMap::new();
-    for &ni in released {
-        net_context(grid, netlist, assignment, ni, focus, &mut |r, c| {
-            out.insert(r, c);
-        });
-    }
-    out
-}
-
-/// Builds the frozen context of one net, delivering each segment's
-/// [`SegCtx`] to `sink`. This is the single per-net computation behind
-/// both the [`HashMap`] wrapper ([`timing_context`]) and the dense
-/// [`SegCtxTable`] fill ([`timing_context_into`]); the arithmetic is
-/// shared, so the two containers always hold bit-identical contexts.
-fn net_context(
-    grid: &Grid,
-    netlist: &Netlist,
-    assignment: &net::Assignment,
-    ni: usize,
-    focus: f64,
-    sink: &mut dyn FnMut(SegmentRef, SegCtx),
-) {
-    {
-        let net = netlist.net(ni);
-        let tree = net.tree();
-        let layers = assignment.net_layers(ni);
-        let t = NetTiming::compute(grid, net, layers);
-        let d_max = t.critical_delay().max(f64::MIN_POSITIVE);
-
-        // Sink weights.
-        let pin_weight = |node: usize| -> f64 {
-            match tree.node(node).pin {
-                Some(0) | None => 0.0,
-                Some(p) => {
-                    let delay = t
-                        .sink_delays()
-                        .iter()
-                        .find(|&&(k, _)| k == p as usize)
-                        .map(|&(_, d)| d)
-                        .unwrap_or(0.0);
-                    (delay / d_max).clamp(0.0, 1.0).powf(focus)
-                }
-            }
-        };
-
-        // Subtree weights, children before parents.
-        let mut weight = vec![0.0f64; tree.num_segments()];
-        for s in tree.postorder_segments() {
-            let child = tree.segment(s).to as usize;
-            let mut w = pin_weight(child);
-            for &cs in tree.child_segments(child) {
-                w += weight[cs as usize];
-            }
-            weight[s] = w;
-        }
-
-        // Weighted upstream resistance, parents before children.
-        let mut upstream = vec![0.0f64; tree.num_segments()];
-        for s in tree.preorder_segments() {
-            let seg = tree.segment(s);
-            let from = seg.from as usize;
-            let (base, entry_layer) = match tree.parent_segment(from) {
-                Some(p) => {
-                    let lay = grid.layer(layers[p]);
-                    let r_wire = lay.unit_resistance * tree.segment_length(p) as f64;
-                    (upstream[p] + weight[p] * r_wire, layers[p])
-                }
-                None => (0.0, net.source().layer),
-            };
-            let (lo, hi) = if entry_layer <= layers[s] {
-                (entry_layer, layers[s])
-            } else {
-                (layers[s], entry_layer)
-            };
-            let via_r = grid.via_stack_resistance(lo, hi);
-            upstream[s] = base + weight[s] * via_r;
-        }
-
-        for s in 0..tree.num_segments() {
-            let child = tree.segment(s).to as usize;
-            sink(
-                // cast: net/segment ordinals come from the u32-indexed arena.
-                SegmentRef::new(ni as u32, s as u32),
-                SegCtx {
-                    cd: t.downstream_cap(s),
-                    weight: weight[s],
-                    upstream: upstream[s],
-                    pin_weight: pin_weight(child),
-                },
-            );
-        }
-    }
 }
 
 /// Sentinel slot for "segment is not in the released pool".
@@ -233,13 +124,18 @@ impl SegCtxTable {
     }
 }
 
-/// [`timing_context`] writing into a dense [`SegCtxTable`] instead of a
-/// fresh [`HashMap`], with an optional weight scale applied to each
-/// context before it lands (the neighbor-net damping).
+/// Builds the frozen context of every segment of `nets` into `table`,
+/// with an optional weight scale applied to each context before it
+/// lands (the neighbor-net damping).
+///
+/// `focus` is the criticality exponent: sink `k` receives weight
+/// `(delay_k / delay_max)^focus`, so `focus = 0` reproduces TILA-style
+/// uniform weighting and larger values concentrate the objective on the
+/// worst paths (the paper's "one or several timing critical paths").
 ///
 /// Scaling multiplies `weight`, `upstream` and `pin_weight` *after* the
-/// full per-net computation — the same order of operations as the old
-/// map-merge path, so scaled contexts stay bit-identical to it.
+/// full per-net computation, so a scaled context is the unscaled one
+/// times the weight, bit for bit.
 ///
 /// # Panics
 ///
@@ -254,14 +150,90 @@ pub fn timing_context_into(
     table: &mut SegCtxTable,
 ) {
     for &ni in nets {
-        net_context(grid, netlist, assignment, ni, focus, &mut |r, mut c| {
-            if let Some(w) = weight_scale {
-                c.weight *= w;
-                c.upstream *= w;
-                c.pin_weight *= w;
+        net_context(grid, netlist, assignment, ni, focus, weight_scale, table);
+    }
+}
+
+/// Builds the frozen context of one net into `table`.
+fn net_context(
+    grid: &Grid,
+    netlist: &Netlist,
+    assignment: &net::Assignment,
+    ni: usize,
+    focus: f64,
+    weight_scale: Option<f64>,
+    table: &mut SegCtxTable,
+) {
+    let net = netlist.net(ni);
+    let tree = net.tree();
+    let layers = assignment.net_layers(ni);
+    let t = NetTiming::compute(grid, net, layers);
+    let d_max = t.critical_delay().max(f64::MIN_POSITIVE);
+
+    // Sink weights.
+    let pin_weight = |node: usize| -> f64 {
+        match tree.node(node).pin {
+            Some(0) | None => 0.0,
+            Some(p) => {
+                let delay = t
+                    .sink_delays()
+                    .iter()
+                    .find(|&&(k, _)| k == p as usize)
+                    .map(|&(_, d)| d)
+                    .unwrap_or(0.0);
+                (delay / d_max).clamp(0.0, 1.0).powf(focus)
             }
-            table.insert(r, c);
-        });
+        }
+    };
+
+    // Subtree weights, children before parents.
+    let mut weight = vec![0.0f64; tree.num_segments()];
+    for s in tree.postorder_segments() {
+        let child = tree.segment(s).to as usize;
+        let mut w = pin_weight(child);
+        for &cs in tree.child_segments(child) {
+            w += weight[cs as usize];
+        }
+        weight[s] = w;
+    }
+
+    // Weighted upstream resistance, parents before children.
+    let mut upstream = vec![0.0f64; tree.num_segments()];
+    for s in tree.preorder_segments() {
+        let seg = tree.segment(s);
+        let from = seg.from as usize;
+        let (base, entry_layer) = match tree.parent_segment(from) {
+            Some(p) => {
+                let lay = grid.layer(layers[p]);
+                let r_wire = lay.unit_resistance * tree.segment_length(p) as f64;
+                (upstream[p] + weight[p] * r_wire, layers[p])
+            }
+            None => (0.0, net.source().layer),
+        };
+        let (lo, hi) = if entry_layer <= layers[s] {
+            (entry_layer, layers[s])
+        } else {
+            (layers[s], entry_layer)
+        };
+        let via_r = grid.via_stack_resistance(lo, hi);
+        upstream[s] = base + weight[s] * via_r;
+    }
+
+    for s in 0..tree.num_segments() {
+        let child = tree.segment(s).to as usize;
+        let mut c = SegCtx {
+            cd: t.downstream_cap(s),
+            weight: weight[s],
+            upstream: upstream[s],
+            pin_weight: pin_weight(child),
+        };
+        if let Some(w) = weight_scale {
+            c.weight *= w;
+            c.upstream *= w;
+            c.pin_weight *= w;
+        }
+        // cast: net/segment ordinals come from the u32-indexed arena.
+        table.insert(SegmentRef::new(ni as u32, s as u32), c);
     }
 }
 
@@ -299,39 +271,53 @@ mod tests {
         (grid, nl, a)
     }
 
+    /// The frozen context of every fixture segment at `focus`, scaled
+    /// by `weight_scale`.
+    fn context(
+        g: &Grid,
+        nl: &Netlist,
+        a: &Assignment,
+        focus: f64,
+        weight_scale: Option<f64>,
+    ) -> Vec<SegCtx> {
+        let arena = DesignArena::from_netlist(nl);
+        let pool: Vec<SegmentRef> = (0..3).map(|s| SegmentRef::new(0, s)).collect();
+        let mut table = SegCtxTable::new(&arena, &pool);
+        timing_context_into(g, nl, a, &[0], focus, weight_scale, &mut table);
+        pool.iter().map(|&r| *table.get(r).unwrap()).collect()
+    }
+
     #[test]
     fn critical_sink_has_unit_weight() {
         let (g, nl, a) = fixture();
-        let ctx = timing_context(&g, &nl, &a, &[0], 4.0);
+        let ctx = context(&g, &nl, &a, 4.0, None);
         // Segment 1 leads to the critical (far) sink.
-        let far = ctx[&SegmentRef::new(0, 1)];
+        let far = ctx[1];
         assert!((far.weight - 1.0).abs() < 1e-9, "{}", far.weight);
         assert!((far.pin_weight - 1.0).abs() < 1e-9);
         // The short branch is much less critical.
-        let near = ctx[&SegmentRef::new(0, 2)];
+        let near = ctx[2];
         assert!(near.weight < 0.5, "{}", near.weight);
         // Trunk carries both.
-        let trunk = ctx[&SegmentRef::new(0, 0)];
+        let trunk = ctx[0];
         assert!((trunk.weight - (far.weight + near.weight)).abs() < 1e-9);
     }
 
     #[test]
     fn focus_zero_reproduces_uniform_weights() {
         let (g, nl, a) = fixture();
-        let ctx = timing_context(&g, &nl, &a, &[0], 0.0);
-        for s in 0..2u32 {
-            let w = ctx[&SegmentRef::new(0, 1 + s)].weight;
-            assert!((w - 1.0).abs() < 1e-9, "{w}");
+        let ctx = context(&g, &nl, &a, 0.0, None);
+        for c in &ctx[1..] {
+            assert!((c.weight - 1.0).abs() < 1e-9, "{}", c.weight);
         }
-        assert!((ctx[&SegmentRef::new(0, 0)].weight - 2.0).abs() < 1e-9);
+        assert!((ctx[0].weight - 2.0).abs() < 1e-9);
     }
 
     #[test]
     fn upstream_resistance_accumulates_along_path() {
         let (g, nl, a) = fixture();
-        let ctx = timing_context(&g, &nl, &a, &[0], 4.0);
-        let trunk = ctx[&SegmentRef::new(0, 0)];
-        let far = ctx[&SegmentRef::new(0, 1)];
+        let ctx = context(&g, &nl, &a, 4.0, None);
+        let (trunk, far) = (ctx[0], ctx[1]);
         // Trunk has no wire ancestors; the far branch rides on the
         // trunk's weighted resistance.
         let trunk_r = g.layer(0).unit_resistance * 4.0;
@@ -339,46 +325,23 @@ mod tests {
     }
 
     #[test]
-    fn dense_table_matches_hashmap_bitwise() {
+    fn scaled_fill_is_unscaled_fill_times_weight() {
         let (g, nl, a) = fixture();
-        let arena = net::DesignArena::from_netlist(&nl);
-        let pool: Vec<SegmentRef> = (0..3).map(|s| SegmentRef::new(0, s)).collect();
-        let mut table = SegCtxTable::new(&arena, &pool);
-        timing_context_into(&g, &nl, &a, &[0], 4.0, None, &mut table);
-        let map = timing_context(&g, &nl, &a, &[0], 4.0);
-        for &r in &pool {
-            let (t, m) = (table.get(r).copied().unwrap(), map[&r]);
-            assert_eq!(t.cd.to_bits(), m.cd.to_bits());
-            assert_eq!(t.weight.to_bits(), m.weight.to_bits());
-            assert_eq!(t.upstream.to_bits(), m.upstream.to_bits());
-            assert_eq!(t.pin_weight.to_bits(), m.pin_weight.to_bits());
-        }
-    }
-
-    #[test]
-    fn scaled_fill_matches_scaled_map_merge() {
-        let (g, nl, a) = fixture();
-        let arena = net::DesignArena::from_netlist(&nl);
-        let pool: Vec<SegmentRef> = (0..3).map(|s| SegmentRef::new(0, s)).collect();
-        let mut table = SegCtxTable::new(&arena, &pool);
         let w = 0.3;
-        timing_context_into(&g, &nl, &a, &[0], 4.0, Some(w), &mut table);
-        for (r, mut c) in timing_context(&g, &nl, &a, &[0], 4.0) {
-            c.weight *= w;
-            c.upstream *= w;
-            c.pin_weight *= w;
-            let t = *table.get(r).unwrap();
-            assert_eq!(t.weight.to_bits(), c.weight.to_bits());
-            assert_eq!(t.upstream.to_bits(), c.upstream.to_bits());
-            assert_eq!(t.pin_weight.to_bits(), c.pin_weight.to_bits());
-            assert_eq!(t.cd.to_bits(), c.cd.to_bits());
+        let plain = context(&g, &nl, &a, 4.0, None);
+        let scaled = context(&g, &nl, &a, 4.0, Some(w));
+        for (p, s) in plain.iter().zip(&scaled) {
+            assert_eq!(s.weight.to_bits(), (p.weight * w).to_bits());
+            assert_eq!(s.upstream.to_bits(), (p.upstream * w).to_bits());
+            assert_eq!(s.pin_weight.to_bits(), (p.pin_weight * w).to_bits());
+            assert_eq!(s.cd.to_bits(), p.cd.to_bits());
         }
     }
 
     #[test]
     fn unpooled_segments_are_invisible() {
         let (g, nl, a) = fixture();
-        let arena = net::DesignArena::from_netlist(&nl);
+        let arena = DesignArena::from_netlist(&nl);
         // Pool only segment 1: fills for 0 and 2 must be dropped.
         let pool = [SegmentRef::new(0, 1)];
         let mut table = SegCtxTable::new(&arena, &pool);
@@ -392,10 +355,9 @@ mod tests {
     #[test]
     fn cd_matches_net_timing() {
         let (g, nl, a) = fixture();
-        let ctx = timing_context(&g, &nl, &a, &[0], 4.0);
+        let ctx = context(&g, &nl, &a, 4.0, None);
         let t = NetTiming::compute(&g, nl.net(0), a.net_layers(0));
-        for s in 0..3 {
-            let c = ctx[&SegmentRef::new(0, s as u32)];
+        for (s, c) in ctx.iter().enumerate() {
             assert!((c.cd - t.downstream_cap(s)).abs() < 1e-12);
         }
     }

@@ -196,9 +196,11 @@ pub struct RoundStats {
     pub avg_tcp: f64,
     /// `Max(T_cp)` after the round.
     pub max_tcp: f64,
-    /// Partitions solved.
+    /// Partition leaves of the round, cache hits included.
     pub partitions: usize,
-    /// Whether the round improved the average.
+    /// Whether the round's priced score, `Avg(T_cp)` plus
+    /// `overflow_price · (input Avg(T_cp)) · (overflow added beyond the
+    /// input)`, beat the incumbent's (see `CplaConfig::overflow_price`).
     pub improved: bool,
 }
 

@@ -50,7 +50,7 @@ pub mod mapping;
 pub mod partition;
 pub mod problem;
 
-pub use context::{timing_context, timing_context_into, SegCtx, SegCtxTable};
+pub use context::{timing_context_into, SegCtx, SegCtxTable};
 pub use engine::{Cpla, CplaConfig, CplaReport, PipelineStats, RoundStats, SolverKind};
 // Engine-neutral pieces now live in the workspace-level `flow` crate;
 // re-exported so existing `cpla::Metrics` paths keep working.

@@ -7,11 +7,16 @@
 //! Each resulting leaf is an independently solvable subproblem, and
 //! leaves carry similar segment counts — the property that balances the
 //! per-thread workload.
+//!
+//! [`partition_segments_sharded`] is the one entry point: it anchors
+//! segments through the design arena's precomputed midpoints and shards
+//! the top-level blocks across threads, with a result independent of the
+//! shard count.
 
 use std::time::Instant;
 
 use grid::Cell;
-use net::{DesignArena, Netlist, SegmentRef};
+use net::{DesignArena, SegmentRef};
 
 /// A rectangular tile region `[x0, x1) × [y0, y1)`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -69,68 +74,6 @@ pub struct PartitionStats {
     pub total_segments: usize,
 }
 
-/// The representative cell of a segment — its midpoint — used to bucket
-/// segments into regions.
-pub fn segment_anchor(netlist: &Netlist, seg: SegmentRef) -> Cell {
-    let tree = netlist.net(seg.net as usize).tree();
-    let s = tree.segment(seg.seg as usize);
-    let a = tree.node(s.from as usize).cell;
-    let b = tree.node(s.to as usize).cell;
-    Cell::new((a.x + b.x) / 2, (a.y + b.y) / 2)
-}
-
-/// Partitions `segments` with a K×K uniform division refined by quadtree
-/// subdivision until each leaf holds at most `max_segments` (or is a
-/// single tile). Empty leaves are dropped.
-///
-/// Equivalent to [`partition_segments_shifted`] with a zero offset.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, `max_segments == 0`, or the grid dimensions are
-/// zero.
-pub fn partition_segments(
-    netlist: &Netlist,
-    segments: &[SegmentRef],
-    width: u16,
-    height: u16,
-    k: usize,
-    max_segments: usize,
-) -> (Vec<Partition>, PartitionStats) {
-    partition_segments_shifted(netlist, segments, width, height, k, max_segments, (0, 0))
-}
-
-/// [`partition_segments`] with the uniform division origin shifted by
-/// `offset` tiles (wrapped into one block size).
-///
-/// Alternating the offset between optimization rounds moves the
-/// partition boundaries, so segments frozen at a cut in one round become
-/// interior — and jointly optimizable — in the next. This is the
-/// iterative-refinement mechanism that lets block-coordinate rounds
-/// escape boundary-induced local minima.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, `max_segments == 0`, or the grid dimensions are
-/// zero.
-pub fn partition_segments_shifted(
-    netlist: &Netlist,
-    segments: &[SegmentRef],
-    width: u16,
-    height: u16,
-    k: usize,
-    max_segments: usize,
-    offset: (u16, u16),
-) -> (Vec<Partition>, PartitionStats) {
-    let anchored: Vec<(SegmentRef, Cell)> = segments
-        .iter()
-        .map(|&s| (s, segment_anchor(netlist, s)))
-        .collect();
-    let (leaves, stats, _) =
-        partition_anchored(&anchored, width, height, k, max_segments, offset, 1);
-    (leaves, stats)
-}
-
 /// What one shard of a [`partition_segments_sharded`] run produced, for
 /// observability and the merge invariants. Ledgers are per-shard
 /// capacity tallies: their `leaves`/`segments` sum and
@@ -157,48 +100,33 @@ pub struct ShardLedger {
     pub dur_secs: f64,
 }
 
-/// [`partition_segments_shifted`] with the top-level K×K block grid
-/// sharded across `shards` worker threads, anchoring segments through a
-/// [`DesignArena`]'s precomputed midpoints instead of per-call tree
-/// walks.
+/// Partitions `segments` with a K×K uniform division refined by quadtree
+/// subdivision until each leaf holds at most `max_segments` (or is a
+/// single tile). Empty leaves are dropped. Each segment is bucketed by
+/// its anchor, the midpoint cell precomputed in `arena`.
 ///
-/// Each top-level block is owned by shard `block_index % shards`; a
-/// shard buckets the pool into its blocks and runs the quadtree
-/// refinement locally. Blocks are independent (a segment anchors in
-/// exactly one block) and the merged leaf list is sorted by region — the
-/// same deterministic order the serial path produces — so the result is
-/// identical for every shard count.
+/// The uniform division origin is shifted by `offset` tiles (wrapped
+/// into one block size). Alternating the offset between optimization
+/// rounds moves the partition boundaries, so segments frozen at a cut in
+/// one round become interior — and jointly optimizable — in the next.
+/// This is the iterative-refinement mechanism that lets block-coordinate
+/// rounds escape boundary-induced local minima.
+///
+/// The top-level blocks are sharded across `shards` worker threads:
+/// block `i` is owned by shard `i % shards`, which buckets the pool into
+/// its blocks and runs the quadtree refinement locally. Blocks are
+/// independent (a segment anchors in exactly one block) and the merged
+/// leaf list is sorted by region, so the result is identical for every
+/// shard count.
 ///
 /// # Panics
 ///
 /// Panics if `k == 0`, `max_segments == 0`, the grid dimensions are
 /// zero, or a segment reference is outside the arena.
-#[allow(clippy::too_many_arguments)] // mirrors partition_segments_shifted + shards
+#[allow(clippy::too_many_arguments)] // the partition geometry plus the shard count
 pub fn partition_segments_sharded(
     arena: &DesignArena,
     segments: &[SegmentRef],
-    width: u16,
-    height: u16,
-    k: usize,
-    max_segments: usize,
-    offset: (u16, u16),
-    shards: usize,
-) -> (Vec<Partition>, PartitionStats, Vec<ShardLedger>) {
-    let anchored: Vec<(SegmentRef, Cell)> = segments
-        .iter()
-        .map(|&r| {
-            (
-                r,
-                arena.anchor(arena.seg_id(r.net as usize, r.seg as usize)),
-            )
-        })
-        .collect();
-    partition_anchored(&anchored, width, height, k, max_segments, offset, shards)
-}
-
-/// The shared partition core over pre-anchored segments.
-fn partition_anchored(
-    anchored: &[(SegmentRef, Cell)],
     width: u16,
     height: u16,
     k: usize,
@@ -210,6 +138,15 @@ fn partition_anchored(
     assert!(max_segments > 0, "max_segments must be positive");
     assert!(width > 0 && height > 0, "grid must be non-empty");
     let shards = shards.max(1);
+    let anchored: Vec<(SegmentRef, Cell)> = segments
+        .iter()
+        .map(|&r| {
+            (
+                r,
+                arena.anchor(arena.seg_id(r.net as usize, r.seg as usize)),
+            )
+        })
+        .collect();
 
     // Uniform K×K division (ceil-sized blocks cover the whole grid),
     // with the block origin shifted left/down by the (wrapped) offset so
@@ -264,7 +201,7 @@ fn partition_anchored(
             ledger.blocks += 1;
             ledger.segments += members.len();
             refine_block(
-                anchored,
+                &anchored,
                 region,
                 members,
                 max_segments,
@@ -399,7 +336,7 @@ fn refine_block(
 mod tests {
     use super::*;
     use grid::{Cell, Direction, GridBuilder};
-    use net::{Net, Pin, RouteTreeBuilder};
+    use net::{Net, Netlist, Pin, RouteTreeBuilder};
 
     /// A netlist of `n` one-segment nets, with segment midpoints placed
     /// on the given cells.
@@ -430,11 +367,24 @@ mod tests {
         nl.segment_refs().collect()
     }
 
+    /// One-shard partitioning of every segment of `nl` on a 64×64 grid.
+    fn partition(
+        nl: &Netlist,
+        k: usize,
+        max_segments: usize,
+        offset: (u16, u16),
+    ) -> (Vec<Partition>, PartitionStats) {
+        let arena = DesignArena::from_netlist(nl);
+        let (leaves, stats, _) =
+            partition_segments_sharded(&arena, &refs(nl), 64, 64, k, max_segments, offset, 1);
+        (leaves, stats)
+    }
+
     #[test]
     fn all_segments_end_up_in_exactly_one_leaf() {
         let nl = netlist_at(&[(5, 5), (5, 6), (40, 40), (60, 3), (33, 33)]);
         let segs = refs(&nl);
-        let (leaves, stats) = partition_segments(&nl, &segs, 64, 64, 3, 2);
+        let (leaves, stats) = partition(&nl, 3, 2, (0, 0));
         let total: usize = leaves.iter().map(|l| l.segments.len()).sum();
         assert_eq!(total, segs.len());
         assert_eq!(stats.total_segments, segs.len());
@@ -451,8 +401,7 @@ mod tests {
         // containing them must split.
         let cells: Vec<(u16, u16)> = (0..9).map(|i| (8 + (i % 3) * 2, 8 + (i / 3) * 2)).collect();
         let nl = netlist_at(&cells);
-        let segs = refs(&nl);
-        let (leaves, stats) = partition_segments(&nl, &segs, 64, 64, 2, 2);
+        let (leaves, stats) = partition(&nl, 2, 2, (0, 0));
         assert!(stats.max_depth >= 1, "{stats:?}");
         assert!(leaves
             .iter()
@@ -462,8 +411,7 @@ mod tests {
     #[test]
     fn loose_bound_keeps_uniform_divisions() {
         let nl = netlist_at(&[(5, 5), (40, 40)]);
-        let segs = refs(&nl);
-        let (leaves, stats) = partition_segments(&nl, &segs, 64, 64, 100, 4);
+        let (leaves, stats) = partition(&nl, 100, 4, (0, 0));
         assert_eq!(stats.max_depth, 0);
         assert_eq!(leaves.len(), 2); // only non-empty divisions survive
     }
@@ -473,8 +421,7 @@ mod tests {
         // Pile 5 segments onto one cell with bound 1: the quadtree must
         // bottom out at a 1×1 region holding all of them (deadlock guard).
         let nl = netlist_at(&[(9, 9); 5]);
-        let segs = refs(&nl);
-        let (leaves, _) = partition_segments(&nl, &segs, 64, 64, 4, 1);
+        let (leaves, _) = partition(&nl, 4, 1, (0, 0));
         let crowded: Vec<_> = leaves.iter().filter(|l| l.segments.len() > 1).collect();
         assert_eq!(crowded.len(), 1);
         assert_eq!(crowded[0].region.width(), 1);
@@ -484,17 +431,20 @@ mod tests {
     #[test]
     fn leaves_are_deterministically_ordered() {
         let nl = netlist_at(&[(5, 5), (40, 40), (60, 3), (20, 50)]);
-        let segs = refs(&nl);
-        let (a, _) = partition_segments(&nl, &segs, 64, 64, 4, 1);
-        let (b, _) = partition_segments(&nl, &segs, 64, 64, 4, 1);
+        let (a, _) = partition(&nl, 4, 1, (0, 0));
+        let (b, _) = partition(&nl, 4, 1, (0, 0));
         assert_eq!(a, b);
     }
 
     #[test]
-    fn anchor_is_segment_midpoint() {
-        let nl = netlist_at(&[(10, 20)]);
-        let anchor = segment_anchor(&nl, SegmentRef::new(0, 0));
-        assert_eq!(anchor, Cell::new(10, 20));
+    fn arena_anchor_is_segment_midpoint() {
+        let cells = [(10, 20), (31, 7), (55, 44)];
+        let nl = netlist_at(&cells);
+        let arena = DesignArena::from_netlist(&nl);
+        for (r, (x, y)) in refs(&nl).into_iter().zip(cells) {
+            let anchor = arena.anchor(arena.seg_id(r.net as usize, r.seg as usize));
+            assert_eq!(anchor, Cell::new(x, y), "{r:?}");
+        }
     }
 
     #[test]
@@ -502,7 +452,7 @@ mod tests {
         let nl = netlist_at(&[(5, 5), (40, 40), (60, 3), (20, 50), (63, 63)]);
         let segs = refs(&nl);
         for offset in [(0u16, 0u16), (3, 3), (8, 1), (15, 15)] {
-            let (leaves, _) = partition_segments_shifted(&nl, &segs, 64, 64, 4, 2, offset);
+            let (leaves, _) = partition(&nl, 4, 2, offset);
             let mut all: Vec<SegmentRef> = leaves.iter().flat_map(|l| l.segments.clone()).collect();
             all.sort();
             all.dedup();
@@ -530,8 +480,8 @@ mod tests {
         let segs = refs(&nl);
         let arena = DesignArena::from_netlist(&nl);
         for offset in [(0u16, 0u16), (8, 8), (3, 11)] {
-            let (serial, sstats) = partition_segments_shifted(&nl, &segs, 64, 64, 4, 3, offset);
-            for shards in 1..=8 {
+            let (serial, sstats) = partition(&nl, 4, 3, offset);
+            for shards in 2..=8 {
                 let (leaves, stats, ledgers) =
                     partition_segments_sharded(&arena, &segs, 64, 64, 4, 3, offset, shards);
                 assert_eq!(leaves, serial, "offset {offset:?} shards {shards}");
@@ -563,24 +513,12 @@ mod tests {
     }
 
     #[test]
-    fn arena_anchors_match_tree_walk_anchors() {
-        let nl = netlist_at(&[(10, 20), (31, 7), (55, 44)]);
-        let arena = DesignArena::from_netlist(&nl);
-        for r in refs(&nl) {
-            let walked = segment_anchor(&nl, r);
-            let flat = arena.anchor(arena.seg_id(r.net as usize, r.seg as usize));
-            assert_eq!(walked, flat, "{r:?}");
-        }
-    }
-
-    #[test]
     fn shifted_offset_moves_the_cuts() {
         // Two segments straddling the unshifted block boundary at x=16
         // end up in one leaf once the origin shifts by half a block.
         let nl = netlist_at(&[(15, 8), (17, 8)]);
-        let segs = refs(&nl);
-        let (plain, _) = partition_segments_shifted(&nl, &segs, 64, 64, 4, 10, (0, 0));
-        let (shifted, _) = partition_segments_shifted(&nl, &segs, 64, 64, 4, 10, (8, 8));
+        let (plain, _) = partition(&nl, 4, 10, (0, 0));
+        let (shifted, _) = partition(&nl, 4, 10, (8, 8));
         let together = |leaves: &[Partition]| leaves.iter().any(|l| l.segments.len() == 2);
         assert!(!together(&plain), "x=16 cut separates the pair");
         assert!(together(&shifted), "shifted cut reunites the pair");

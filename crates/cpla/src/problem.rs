@@ -141,8 +141,8 @@ impl PartitionProblem {
     /// `ctx` must yield the frozen timing context
     /// ([`crate::context::SegCtx`]: downstream capacitance, criticality
     /// weight, weighted upstream resistance) of any segment of a
-    /// released net, as built by [`crate::timing_context`] against the
-    /// current assignment.
+    /// released net, as frozen by [`crate::timing_context_into`] against
+    /// the current assignment.
     ///
     /// # Panics
     ///
@@ -569,8 +569,11 @@ mod tests {
     /// can reason about raw delays.
     fn caps(grid: &Grid, nl: &Netlist, a: &Assignment) -> impl Fn(SegmentRef) -> SegCtx {
         let released: Vec<usize> = (0..nl.len()).collect();
-        let map = crate::timing_context(grid, nl, a, &released, 0.0);
-        move |r| map[&r]
+        let arena = net::DesignArena::from_netlist(nl);
+        let pool: Vec<SegmentRef> = nl.segment_refs().collect();
+        let mut table = crate::SegCtxTable::new(&arena, &pool);
+        crate::timing_context_into(grid, nl, a, &released, 0.0, None, &mut table);
+        move |r| *table.get(r).unwrap()
     }
 
     #[test]

@@ -14,6 +14,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> cargo clippy: feature-gated microbenches (compile only)"
+cargo clippy -p cpla-bench --features criterion-benches --benches --offline -- -D warnings
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 

@@ -96,7 +96,6 @@ fn sdp_relaxation_lower_bounds_partition_ilp_on_real_problems() {
     // Extract actual partition problems from a real benchmark state and
     // verify the relaxation bound on each.
     let f = fixture(23);
-    let ctx = cpla::timing_context(&f.grid, &f.netlist, &f.assignment, &f.released, 4.0);
     let segments: Vec<SegmentRef> = f
         .released
         .iter()
@@ -105,13 +104,26 @@ fn sdp_relaxation_lower_bounds_partition_ilp_on_real_problems() {
                 .map(move |s| SegmentRef::new(ni as u32, s as u32))
         })
         .collect();
-    let (partitions, _) = cpla::partition::partition_segments(
+    let arena = net::DesignArena::from_netlist(&f.netlist);
+    let mut ctx = cpla::SegCtxTable::new(&arena, &segments);
+    cpla::timing_context_into(
+        &f.grid,
         &f.netlist,
+        &f.assignment,
+        &f.released,
+        4.0,
+        None,
+        &mut ctx,
+    );
+    let (partitions, _, _) = cpla::partition::partition_segments_sharded(
+        &arena,
         &segments,
         f.grid.width(),
         f.grid.height(),
         4,
         8,
+        (0, 0),
+        1,
     );
     let mut checked = 0;
     for part in partitions.iter().take(6) {
@@ -120,7 +132,7 @@ fn sdp_relaxation_lower_bounds_partition_ilp_on_real_problems() {
             &f.netlist,
             &f.assignment,
             &part.segments,
-            &|r| ctx[&r],
+            &|r| *ctx.get(r).expect("released segment"),
             &ProblemConfig::default(),
         );
         let Some(ilp) = problem.to_choice_problem().solve(2_000_000) else {

@@ -141,20 +141,40 @@ fn instrumentation_is_bit_identical_with_work_stealing_threads() {
     let plain = run_plain(42, 4);
     let (report, assignment, recorder) = run_instrumented(42, 4);
     assert_identical(label, &plain, &(report, assignment));
-    let leaf_threads: Vec<usize> = recorder
+    let parallel = solve_leaves(&recorder);
+    assert!(!parallel.is_empty(), "{label}: no solve leaves recorded");
+    assert!(
+        parallel.iter().any(|&(.., t)| t >= 1),
+        "{label}: no leaf attributed to a worker thread: {parallel:?}"
+    );
+    // At one thread the Solve worker runs inline as thread 0, and the
+    // leaves arrive in the same (round, index, items) sequence: delivery
+    // follows miss order, whichever worker claimed a leaf.
+    let (_, _, recorder) = run_instrumented(42, 1);
+    let serial = solve_leaves(&recorder);
+    assert!(
+        serial.iter().all(|&(.., t)| t == 0),
+        "seed=42 threads=1: a solve leaf left the driver thread: {serial:?}"
+    );
+    let order = |leaves: &[(usize, usize, usize, usize)]| -> Vec<(usize, usize, usize)> {
+        leaves.iter().map(|&(r, i, n, _)| (r, i, n)).collect()
+    };
+    assert_eq!(
+        order(&serial),
+        order(&parallel),
+        "solve leaf sequence differs between threads=1 and threads=4"
+    );
+}
+
+/// The `(round, index, items, thread)` of every Solve leaf span, in
+/// delivery order.
+fn solve_leaves(recorder: &obs::Recorder) -> Vec<(usize, usize, usize, usize)> {
+    recorder
         .spans()
         .iter()
         .filter(|s| s.kind == obs::SpanKind::Leaf && s.stage == Some(Stage::Solve))
-        .map(|s| s.thread)
-        .collect();
-    assert!(
-        !leaf_threads.is_empty(),
-        "{label}: no solve leaves recorded"
-    );
-    assert!(
-        leaf_threads.iter().any(|&t| t >= 1),
-        "{label}: no leaf attributed to a worker thread: {leaf_threads:?}"
-    );
+        .map(|s| (s.round, s.index, s.items, s.thread))
+        .collect()
 }
 
 #[test]
