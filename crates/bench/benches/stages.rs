@@ -17,7 +17,7 @@ mod real {
     use cpla_bench::Prepared;
     use ispd::SyntheticConfig;
     use net::{DesignArena, SegmentRef};
-    use solver::{SdpSolver, SymMatrix};
+    use solver::{PsdScratch, SdpSolver, SymMatrix};
 
     /// Shared fixture: a routed small benchmark, its arena and frozen
     /// context table, plus one representative partition problem of the
@@ -165,6 +165,56 @@ mod real {
             });
         }
 
+        {
+            // The fixture leaf's own PSD pattern: indices its cost
+            // couples, transitively, form one block of mixed-sign
+            // entries; entries between blocks are zero. The dense
+            // projection and the per-block one run on this same matrix.
+            let (sdp, _) = f.problem.to_sdp();
+            let cost = sdp.cost();
+            let n = cost.dim();
+            let mut label: Vec<usize> = (0..n).collect();
+            let mut changed = true;
+            while changed {
+                changed = false;
+                for i in 0..n {
+                    for j in 0..n {
+                        if cost.get(i, j) != 0.0 && label[i] != label[j] {
+                            let low = label[i].min(label[j]);
+                            (label[i], label[j]) = (low, low);
+                            changed = true;
+                        }
+                    }
+                }
+            }
+            let mut members: Vec<usize> = (0..n).collect();
+            members.sort_by_key(|&i| (label[i], i));
+            let starts: Vec<usize> = (0..n)
+                .filter(|&k| k == 0 || label[members[k]] != label[members[k - 1]])
+                .chain([n])
+                .collect();
+            let mut m = SymMatrix::zeros(n);
+            let mut v = 1.0f64;
+            for i in 0..n {
+                for j in (i..n).filter(|&j| label[j] == label[i]) {
+                    v = (v * 1.31 + 0.7) % 5.0;
+                    m.set(i, j, v - 2.5);
+                }
+            }
+            let flat = || m.as_slice().to_vec();
+            let mut scratch = PsdScratch::new();
+            h.bench_batched("solver/psd_project", flat, |mut a| {
+                solver::psd_project_in_place(&mut a, n, &mut scratch);
+                a
+            });
+            h.bench_batched("solver/psd_project_blocks", flat, |mut a| {
+                solver::psd_project_blocks(&mut a, n, &members, &starts, &mut scratch);
+                a
+            });
+        }
+
+        // A 64×64 dense matrix: about twice the largest PSD order the
+        // engine builds (30 assignment rows on scale-100k).
         let dense64 = || {
             let mut m = SymMatrix::zeros(64);
             let mut v = 1.0f64;

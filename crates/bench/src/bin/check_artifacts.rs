@@ -7,6 +7,11 @@
 //!                  --bench BENCH_cpla.json [--baseline BENCH_cpla.json]
 //! ```
 //!
+//! Exit codes: 0 when every check passes (or on `--help`), 1 when a
+//! check fails, 2 on a usage error (an unknown flag, a flag without its
+//! value, nothing to check, `--baseline` without `--bench`), matching
+//! `cpla-bench`, `cpla-conform` and `cpla-audit`.
+//!
 //! Checks, in order:
 //!
 //! 1. the Chrome trace parses (via the hand-rolled `conform::json`
@@ -46,6 +51,9 @@ const QUALITY_FIELDS: [&str; 8] = [
     "released",
 ];
 
+const USAGE: &str = "usage: cpla-bench-check [--trace FILE] [--metrics FILE] \
+                     [--bench FILE] [--baseline FILE]";
+
 struct Args {
     trace: Option<String>,
     metrics: Option<String>,
@@ -53,7 +61,8 @@ struct Args {
     baseline: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line; `Ok(None)` asks for the usage text.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut args = Args {
         trace: None,
         metrics: None,
@@ -67,12 +76,7 @@ fn parse_args() -> Result<Args, String> {
             "--metrics" => &mut args.metrics,
             "--bench" => &mut args.bench,
             "--baseline" => &mut args.baseline,
-            "--help" | "-h" => {
-                return Err(String::from(
-                    "usage: cpla-bench-check [--trace FILE] [--metrics FILE] \
-                     [--bench FILE] [--baseline FILE]",
-                ))
-            }
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown flag `{other}`")),
         };
         *slot = Some(it.next().ok_or_else(|| format!("{arg} needs a value"))?);
@@ -85,7 +89,7 @@ fn parse_args() -> Result<Args, String> {
     if args.baseline.is_some() && args.bench.is_none() {
         return Err(String::from("--baseline requires --bench"));
     }
-    Ok(args)
+    Ok(Some(args))
 }
 
 fn read(path: &str) -> Result<String, String> {
@@ -322,8 +326,7 @@ fn check_bench(path: &str, baseline: Option<&str>) -> Result<String, String> {
     Ok(summary)
 }
 
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
+fn run(args: &Args) -> Result<(), String> {
     if let Some(path) = &args.trace {
         println!("{}", check_trace(path)?);
     }
@@ -337,7 +340,18 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let args = match parse_args() {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(e) => {
+            eprintln!("cpla-bench-check: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("cpla-bench-check: {e}");

@@ -6,13 +6,15 @@
 //! implements both from scratch (see `DESIGN.md` §2 for the substitution
 //! rationale):
 //!
-//! * [`SymMatrix`], [`eigen_decompose`], [`psd_project`], [`Cholesky`] —
-//!   dense symmetric linear algebra sized for per-partition problems
-//!   (matrix dimension ≲ a few hundred).
+//! * [`SymMatrix`], [`eigen_decompose`], [`psd_project`],
+//!   [`psd_project_blocks`], [`Cholesky`] — dense symmetric linear
+//!   algebra sized for per-partition problems (matrix dimension ≲ a few
+//!   hundred).
 //! * [`SdpProblem`] / [`SdpSolver`] — an ADMM (alternating direction
 //!   method of multipliers) solver for block SDPs
 //!   `min ⟨C, X⟩ s.t. ⟨A_k, (X, s)⟩ = b_k, X ⪰ 0, s ≥ 0`, with a PSD
-//!   block `X` and a nonnegative LP block `s`.
+//!   block `X`, projected one connected component at a time, and a
+//!   nonnegative LP block `s`.
 //! * [`ChoiceProblem`] / branch-and-bound — an exact, anytime solver for
 //!   the assignment-structured ILPs the paper sends to GUROBI.
 //!
@@ -47,5 +49,5 @@ pub use cholesky::{Cholesky, CholeskyError};
 pub use eigen::{eigen_decompose, eigen_decompose_jacobi, Eigen};
 pub use error::SolveError;
 pub use ilp::{CapacityGroup, ChoiceProblem, IlpSolution, PairCost, SoftGroup};
-pub use matrix::{psd_project, psd_project_in_place, PsdScratch, SymMatrix};
+pub use matrix::{psd_project, psd_project_blocks, psd_project_in_place, PsdScratch, SymMatrix};
 pub use sdp::{SdpProblem, SdpSolution, SdpSolver, SolveScratch, WarmStart};

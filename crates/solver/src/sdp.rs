@@ -10,7 +10,9 @@
 //!    affine set, via the pre-factorized constraint Gram matrix
 //!    `G_kl = ⟨A_k, A_l⟩`.
 //! 2. **Z-update** — projection of `X + U` onto the cone: eigenvalue
-//!    clamping on the PSD block, a clamp at zero on the LP block.
+//!    clamping on the PSD block, a clamp at zero on the LP block. The
+//!    PSD block is projected one connected component at a time (see
+//!    below).
 //! 3. **U-update** — scaled dual ascent `U += X − Z`.
 //!
 //! Each iterate is one flat vector: the PSD block row-major, then the
@@ -20,13 +22,25 @@
 //! eigendecomposition is the only pass that changes, and it shrinks to
 //! the PSD block.
 //!
+//! Once per solve, after the warm start is loaded, the PSD order is
+//! split into connected components: two indices are joined when the
+//! cost, a constraint entry, or the loaded `Z` or `U` is nonzero off
+//! the diagonal between them. The X-update, the U-update and the ρ
+//! adaptation then keep every entry between two components at exactly
+//! zero, and a block-diagonal matrix projects block by block, so the
+//! Z-update eigendecomposes each component's submatrix on its own
+//! ([`crate::psd_project_blocks`]) with the same iterates in exact
+//! arithmetic. A connected PSD block of order ≥ 2 is one component in
+//! index order and runs the dense projection's arithmetic bit for bit.
+//!
 //! The returned `x` iterate satisfies the equality constraints to solver
 //! precision; the `z` iterate is exactly in the cone. CPLA's post-mapping
 //! step only *ranks* diagonal entries, so the modest first-order accuracy
 //! of ADMM is sufficient — this is the substitution for the CSDP C
 //! library used by the paper (see `DESIGN.md` §2).
 
-use crate::matrix::{psd_project_in_place, PsdScratch};
+use crate::eigen::is_zero;
+use crate::matrix::{psd_project_blocks, PsdScratch};
 use crate::{Cholesky, SolveError, SymMatrix};
 
 /// One linear equality constraint `Σ coeff · X_ij = rhs`.
@@ -280,17 +294,24 @@ pub struct SdpSolution {
 }
 
 /// Reusable workspaces for [`SdpSolver::try_solve_from_with`]: the PSD
-/// projection's eigendecomposition buffers, the affine projection's
-/// constraint, substitution and adjoint vectors, and the rank-stop
-/// check's buffers. One scratch serves problems of any size (buffers
-/// grow on demand and keep their capacity), so a caller solving many
-/// problems — CPLA solves one per partition leaf per round — threads a
-/// single scratch through all of them and the ADMM iteration allocates
-/// nothing.
+/// block's component split and projection buffers, the affine
+/// projection's constraint, substitution and adjoint vectors, and the
+/// rank-stop check's buffers. One scratch serves problems of any size
+/// (buffers grow on demand and keep their capacity), so a caller
+/// solving many problems — CPLA solves one per partition leaf per
+/// round — threads a single scratch through all of them and the ADMM
+/// iteration allocates nothing.
 #[derive(Clone, Debug, Default)]
 pub struct SolveScratch {
     /// PSD-projection eigendecomposition workspace.
     psd: PsdScratch,
+    /// Component split: union-find parent of each PSD index.
+    root: Vec<usize>,
+    /// Component split: PSD indices grouped by component.
+    members: Vec<usize>,
+    /// Component split: where each component starts in `members`, then
+    /// the PSD order.
+    starts: Vec<usize>,
     /// Constraint values `A(target)`.
     ax: Vec<f64>,
     /// Right-hand side `ρ (b − A(target))`.
@@ -330,6 +351,62 @@ fn dist(a: &[f64], b: &[f64]) -> f64 {
         .map(|(x, y)| (x - y) * (x - y))
         .sum::<f64>()
         .sqrt()
+}
+
+/// The smallest index in `i`'s component (path halving on the way).
+fn component_root(root: &mut [usize], mut i: usize) -> usize {
+    while root[i] != i {
+        root[i] = root[root[i]];
+        i = root[i];
+    }
+    i
+}
+
+/// Splits the PSD order `p` into connected components, written to
+/// `scratch.members`/`scratch.starts` in the layout
+/// [`psd_project_blocks`] reads. Indices `i < j` are joined when the
+/// cost, a constraint entry, or the loaded iterate `z` or `u` couples
+/// them. Components are listed by their smallest index and each lists
+/// its indices in ascending order, so a connected block is `0..p`.
+fn split_components(problem: &SdpProblem, z: &[f64], u: &[f64], scratch: &mut SolveScratch) {
+    let p = problem.psd_order();
+    let SolveScratch {
+        root,
+        members,
+        starts,
+        ..
+    } = scratch;
+    root.clear();
+    root.extend(0..p);
+    let mut join = |i: usize, j: usize| {
+        let (a, b) = (component_root(root, i), component_root(root, j));
+        root[a.max(b)] = a.min(b);
+    };
+    let cost = problem.cost.as_slice();
+    for i in 0..p {
+        for j in i + 1..p {
+            let k = i * p + j;
+            if !(is_zero(cost[k]) && is_zero(z[k]) && is_zero(u[k])) {
+                join(i, j);
+            }
+        }
+    }
+    for c in &problem.constraints {
+        for &(i, j, _) in &c.entries {
+            if i != j {
+                join(i, j);
+            }
+        }
+    }
+    for i in 0..p {
+        root[i] = component_root(root, i);
+    }
+    members.clear();
+    members.extend(0..p);
+    members.sort_unstable_by_key(|&i| (root[i], i));
+    starts.clear();
+    starts.extend((0..p).filter(|&k| k == 0 || root[members[k]] != root[members[k - 1]]));
+    starts.push(p);
 }
 
 /// Splits a flat iterate into its PSD matrix and LP vector.
@@ -452,6 +529,7 @@ impl SdpSolver {
                 u[pp..].copy_from_slice(&w.u_lp);
             }
         }
+        split_components(problem, &z, &u, scratch);
         scratch.adj.clear();
         scratch.adj.resize(len, 0.0);
         scratch.rank_prev.clear();
@@ -492,9 +570,13 @@ impl SdpSolver {
             for k in 0..len {
                 z[k] = x[k] + u[k];
             }
-            if p > 0 {
-                psd_project_in_place(&mut z[..pp], p, &mut scratch.psd);
-            }
+            psd_project_blocks(
+                &mut z[..pp],
+                p,
+                &scratch.members,
+                &scratch.starts,
+                &mut scratch.psd,
+            );
             for v in &mut z[pp..] {
                 *v = v.max(0.0);
             }
@@ -982,6 +1064,211 @@ mod tests {
     fn lp_variables_take_no_off_diagonal_entries() {
         let mut p = SdpProblem::with_lp_block(SymMatrix::identity(2), 1);
         p.add_constraint(vec![(0, 2, 1.0)], 1.0);
+    }
+
+    /// Seeds for the component-split sweeps.
+    fn split_seeds() -> u64 {
+        if cfg!(feature = "proptest") {
+            200
+        } else {
+            24
+        }
+    }
+
+    /// A seeded problem whose PSD block falls into `groups` components.
+    /// Each group is a CPLA-shaped chain of 2–4 segments with 2–3
+    /// candidates each: diagonal delay costs, one coupling between
+    /// consecutive segments and one assignment row per segment. Nothing
+    /// off the diagonal joins two groups; two capacity rows closed by
+    /// LP slacks cross them on the diagonal only. With `interleave` the
+    /// groups' variables are dealt round-robin over the PSD order
+    /// (keeping each group's own order) instead of lying in contiguous
+    /// ranges. Returns the problem and, per group, the PSD index of
+    /// each of its variables.
+    fn grouped_problem(
+        seed: u64,
+        groups: usize,
+        interleave: bool,
+    ) -> (SdpProblem, Vec<Vec<usize>>) {
+        let mut rng = prng::Rng::seed_from_u64(seed);
+        let shape: Vec<Vec<usize>> = (0..groups)
+            .map(|_| {
+                let segs = rng.range_usize(2, 4);
+                (0..segs).map(|_| rng.range_usize(2, 3)).collect()
+            })
+            .collect();
+        let sizes: Vec<usize> = shape.iter().map(|g| g.iter().sum()).collect();
+        let mut pos: Vec<Vec<usize>> = vec![Vec::new(); groups];
+        let mut next = 0;
+        if interleave {
+            for v in 0..sizes.iter().copied().max().unwrap_or(0) {
+                for g in (0..groups).filter(|&g| v < sizes[g]) {
+                    pos[g].push(next);
+                    next += 1;
+                }
+            }
+        } else {
+            for g in 0..groups {
+                pos[g].extend(next..next + sizes[g]);
+                next += sizes[g];
+            }
+        }
+        let caps = 2;
+        let mut cost = SymMatrix::zeros(next);
+        let mut rows: Vec<Vec<(usize, usize, f64)>> = Vec::new();
+        let mut cap_rows = vec![Vec::new(); caps];
+        for (g, segs) in shape.iter().enumerate() {
+            let at = &pos[g];
+            let mut start = 0;
+            for (s, &cands) in segs.iter().enumerate() {
+                for v in start..start + cands {
+                    cost.set(at[v], at[v], rng.range_f64(1.0, 100.0));
+                }
+                if s > 0 {
+                    let prev = start - segs[s - 1];
+                    let a = at[prev + rng.range_usize(0, segs[s - 1] - 1)];
+                    cost.add_to(a, at[start], rng.range_f64(0.0, 20.0));
+                }
+                rows.push(
+                    (start..start + cands)
+                        .map(|v| (at[v], at[v], 1.0))
+                        .collect(),
+                );
+                let pick = at[start + rng.range_usize(0, cands - 1)];
+                cap_rows[rng.range_usize(0, caps - 1)].push((pick, pick, 1.0));
+                start += cands;
+            }
+        }
+        let mut problem = SdpProblem::with_lp_block(cost, caps);
+        for row in rows {
+            problem.add_constraint(row, 1.0);
+        }
+        for (k, mut row) in cap_rows.into_iter().enumerate() {
+            let limit = (row.len() / 2) as f64;
+            row.push((next + k, next + k, 1.0));
+            problem.add_constraint(row, limit);
+        }
+        (problem, pos)
+    }
+
+    #[test]
+    fn cold_solve_keeps_components_exactly_apart() {
+        for seed in 0..split_seeds() {
+            let groups = 2 + seed as usize % 3;
+            let (p, pos) = grouped_problem(seed, groups, seed % 2 == 1);
+            let sol = SdpSolver::default().solve(&p);
+            let mut group_of = vec![0; p.psd_order()];
+            for (g, at) in pos.iter().enumerate() {
+                for &i in at {
+                    group_of[i] = g;
+                }
+            }
+            for i in 0..p.psd_order() {
+                for j in (0..p.psd_order()).filter(|&j| group_of[j] != group_of[i]) {
+                    for (what, m) in [("x", &sol.x), ("z", &sol.warm.z), ("u", &sol.warm.u)] {
+                        assert_eq!(m.get(i, j), 0.0, "seed {seed}: {what}[{i},{j}]");
+                    }
+                }
+            }
+            // The split is not vacuous: within a group the iterates couple.
+            let coupled = pos.iter().any(|at| {
+                at.iter()
+                    .any(|&i| at.iter().any(|&j| i != j && sol.warm.z.get(i, j) != 0.0))
+            });
+            assert!(coupled, "seed {seed}: no coupling within any group");
+        }
+    }
+
+    #[test]
+    fn interleaved_components_give_the_permuted_answer() {
+        // Residual-driven stops only: the rank-stop check breaks ties
+        // by index, so it is not invariant under a permutation.
+        let engine = SdpSolver {
+            max_iterations: 200,
+            tolerance: 1e-4,
+            ..SdpSolver::default()
+        };
+        for seed in 0..split_seeds() {
+            let groups = 2 + seed as usize % 3;
+            let (a, pa) = grouped_problem(seed, groups, false);
+            let (b, pb) = grouped_problem(seed, groups, true);
+            for solver in [SdpSolver::default(), engine] {
+                let (sa, sb) = (solver.solve(&a), solver.solve(&b));
+                assert_eq!(sa.iterations, sb.iterations, "seed {seed}: iterations");
+                assert_eq!(sa.converged, sb.converged, "seed {seed}: converged");
+                let scale = sa.x.diagonal().iter().fold(1e-12f64, |m, v| m.max(v.abs()));
+                for (ga, gb) in pa.iter().zip(&pb) {
+                    for (&i, &j) in ga.iter().zip(gb) {
+                        let (x, y) = (sa.x.get(i, i), sb.x.get(j, j));
+                        assert!(
+                            (x - y).abs() <= 1e-9 * scale,
+                            "seed {seed}: diagonal {i} vs {j}: {x} vs {y}"
+                        );
+                    }
+                }
+                for (x, y) in sa.x_lp.iter().zip(&sb.x_lp) {
+                    assert!(
+                        (x - y).abs() <= 1e-9 * scale,
+                        "seed {seed}: slack {x} vs {y}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_off_diagonal_constraint_entry_joins_components() {
+        // min X00 + 2 X11 s.t. X00 + X11 = 2, X01 = 1, X ⪰ 0. The cost
+        // is diagonal, so only the X01 row joins the two indices; PSD
+        // then forces X00 X11 ≥ 1, i.e. X00 = X11 = 1. Projected apart,
+        // the optimum would be X00 = 2, X11 = 0.
+        let mut p = SdpProblem::new(SymMatrix::from_diagonal(&[1.0, 2.0]));
+        p.add_constraint(vec![(0, 0, 1.0), (1, 1, 1.0)], 2.0);
+        p.add_constraint(vec![(0, 1, 1.0)], 1.0);
+        let sol = SdpSolver {
+            max_iterations: 5000,
+            ..SdpSolver::default()
+        }
+        .solve(&p);
+        for i in 0..2 {
+            assert!(
+                (sol.x.get(i, i) - 1.0).abs() < 2e-2,
+                "{:?}",
+                sol.x.diagonal()
+            );
+        }
+    }
+
+    #[test]
+    fn warm_start_coupling_two_components_is_honoured() {
+        let solver = SdpSolver::default();
+        for seed in 0..split_seeds() {
+            let (p, pos) = grouped_problem(seed, 2, seed % 2 == 1);
+            let (i, j) = (pos[0][0], pos[1][0]);
+            let mut warm = solver.solve(&p).warm;
+            warm.z.set(i, j, 0.25);
+            // The same problem with the pair declared by a zero
+            // constraint entry: identical arithmetic, joined by
+            // construction. The warm coupling must join it just the same.
+            let mut joined = p.clone();
+            joined.add_constraint(vec![(i, j, 0.0)], 0.0);
+            let sol = solver.solve_from(&p, Some(&warm));
+            let want = solver.solve_from(&joined, Some(&warm));
+            assert_eq!(sol.iterations, want.iterations, "seed {seed}");
+            assert_eq!(sol.x, want.x, "seed {seed}");
+            assert_eq!(sol.warm, want.warm, "seed {seed}");
+            // After one step the coupling is still carried: Z and U
+            // cannot both be zero there, since U = 0.25 − Z.
+            let one = SdpSolver {
+                max_iterations: 1,
+                ..solver
+            }
+            .solve_from(&p, Some(&warm));
+            assert!(
+                one.warm.z.get(i, j) != 0.0 || one.warm.u.get(i, j) != 0.0,
+                "seed {seed}: the warm coupling was zeroed"
+            );
+        }
     }
 
     #[test]

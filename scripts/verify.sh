@@ -42,6 +42,9 @@ cargo test -q --offline
 echo "==> workspace tests"
 cargo test --workspace -q --offline
 
+echo "==> solver property sweeps (full seeds)"
+cargo test -q --offline -p solver --features proptest
+
 echo "==> observability artifacts: cpla-bench + cpla-bench-check"
 # One instrumented rep of the default workload; the checker validates
 # that both exporters still emit parseable artifacts and that
