@@ -23,7 +23,8 @@ use crate::syntax::{self, Structure};
 
 /// Hot-path modules rule A9 protects: the Solve/Measure kernels where
 /// per-iteration allocation is a measured regression (BENCH_cpla.json
-/// alloc rollups), not a style preference.
+/// alloc rollups), not a style preference, and the router's maze
+/// search, whose per-call buffers are reused across calls.
 pub const HOT_MODULES: &[&str] = &[
     "crates/solver/src/sdp.rs",
     "crates/solver/src/eigen.rs",
@@ -40,6 +41,7 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/cpla/src/problem.rs",
     "crates/cpla/src/mapping.rs",
     "crates/cpla/src/partition.rs",
+    "crates/route/src/maze.rs",
 ];
 
 /// Files exempt from A8: the arena/id minting layer itself, where the

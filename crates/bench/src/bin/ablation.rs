@@ -86,13 +86,6 @@ fn main() {
                     ..CplaConfig::default()
                 },
             ),
-            (
-                "neighbor-release (ext.)",
-                CplaConfig {
-                    release_neighbors: true,
-                    ..CplaConfig::default()
-                },
-            ),
         ];
         for (label, cfg) in variants {
             let (run, _) = run_cpla(&prepared, &released, cfg);
@@ -111,9 +104,5 @@ fn main() {
                 )
             );
         }
-        println!(
-            "(ext.) = extension beyond the paper's evaluation; see\n\
-             EXPERIMENTS.md for discussion."
-        );
     }
 }

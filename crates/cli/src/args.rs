@@ -69,7 +69,7 @@ pub enum Command {
         input: String,
     },
     /// `optimize <file> [--assigner cpla|tila|lagrange|greedy|race] [--ratio R]
-    /// [--engine sdp|ilp|tila] [--neighbors] [--threads N] [--alpha A] [--node-budget N]
+    /// [--engine sdp|ilp|tila] [--threads N] [--alpha A] [--node-budget N]
     /// [--trace-chrome FILE] [--metrics FILE]`: run incremental layer
     /// assignment through the `LayerAssigner` seam.
     Optimize {
@@ -82,8 +82,6 @@ pub enum Command {
         ratio: f64,
         /// CPLA solver selection.
         engine: Engine,
-        /// Enable the neighbor-release extension.
-        neighbors: bool,
         /// Partition-solver threads.
         threads: usize,
         /// Overflow weight α (`None` keeps the engine default). Range
@@ -129,8 +127,7 @@ USAGE:
   cpla-cli optimize <file.ispd> [--assigner cpla|tila|lagrange|greedy|race]
                                 [--ratio 0.005]
                                 [--engine sdp|ilp|tila]
-                                [--neighbors] [--threads N]
-                                [--alpha A] [--node-budget N]
+                                [--threads N] [--alpha A] [--node-budget N]
                                 [--trace-chrome out.json] [--metrics out.txt]
   cpla-cli replay   <repro.json>
   cpla-cli svg      <file.ispd> -o <out.svg> [--ratio 0.005]
@@ -176,7 +173,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
             let mut assigner = None;
             let mut ratio = 0.005f64;
             let mut engine = Engine::Sdp;
-            let mut neighbors = false;
             let mut threads = 1usize;
             let mut alpha: Option<f64> = None;
             let mut node_budget: Option<u64> = None;
@@ -211,7 +207,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                             other => return Err(format!("unknown engine `{other}`")),
                         };
                     }
-                    "--neighbors" => neighbors = true,
                     "--threads" => {
                         let v = it.next().ok_or("--threads needs a value")?;
                         threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
@@ -249,7 +244,6 @@ pub fn parse(args: &[String]) -> Result<Command, String> {
                 assigner,
                 ratio,
                 engine,
-                neighbors,
                 threads,
                 alpha,
                 node_budget,
@@ -329,7 +323,6 @@ mod tests {
                 assigner: Assigner::Cpla,
                 ratio: 0.005,
                 engine: Engine::Sdp,
-                neighbors: false,
                 threads: 1,
                 alpha: None,
                 node_budget: None,
@@ -344,7 +337,6 @@ mod tests {
             "0.02",
             "--engine",
             "tila",
-            "--neighbors",
             "--threads",
             "4",
         ]))
@@ -356,7 +348,6 @@ mod tests {
                 assigner: Assigner::Tila,
                 ratio: 0.02,
                 engine: Engine::Tila,
-                neighbors: true,
                 threads: 4,
                 alpha: None,
                 node_budget: None,
@@ -364,6 +355,12 @@ mod tests {
                 metrics: None,
             }
         );
+    }
+
+    #[test]
+    fn the_removed_neighbors_flag_is_rejected() {
+        let e = parse(&v(&["optimize", "d.ispd", "--neighbors"])).unwrap_err();
+        assert!(e.contains("unknown argument `--neighbors`"), "{e}");
     }
 
     #[test]

@@ -260,7 +260,6 @@ fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
             assigner,
             ratio,
             engine,
-            neighbors,
             threads,
             alpha,
             node_budget,
@@ -273,7 +272,7 @@ fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
 
             // Every backend runs through the same `LayerAssigner` seam;
             // `--assigner` only decides which box is built. The CPLA
-            // flags (`--engine`, `--alpha`, `--neighbors`, ...) carry
+            // flags (`--engine`, `--alpha`, `--node-budget`, ...) carry
             // into the CPLA lane of a race unchanged.
             let cpla_box = || -> Box<dyn LayerAssigner + Send + Sync> {
                 let solver = match engine {
@@ -286,7 +285,6 @@ fn run(command: Command, out: &mut dyn Write) -> Result<(), CliError> {
                 Box::new(Cpla::new(CplaConfig {
                     critical_ratio: ratio,
                     solver,
-                    release_neighbors: neighbors,
                     threads,
                     alpha: alpha.unwrap_or(defaults.alpha),
                     ..defaults

@@ -157,13 +157,11 @@ impl TrialOutcome {
 }
 
 /// The CPLA backend as conformance runs configure it: the workload's
-/// release ratio, single-threaded, *without* neighbor release so the
-/// engine optimizes exactly the net set the oracle enumerates.
+/// release ratio and thread count, every other setting at its default.
 pub fn cpla_backend(critical_ratio: f64, threads: usize) -> Cpla {
     Cpla::new(CplaConfig {
         critical_ratio,
         threads,
-        release_neighbors: false,
         ..CplaConfig::default()
     })
 }

@@ -41,7 +41,6 @@ fn triage_reproducer() {
             let engine = cpla::Cpla::new(cpla::CplaConfig {
                 critical_ratio: w.critical_ratio,
                 threads,
-                release_neighbors: false,
                 ..cpla::CplaConfig::default()
             });
             let full = engine

@@ -57,9 +57,8 @@ const NONE: u32 = u32::MAX;
 /// keeps one slot per *pooled* segment, so lookups are two array reads
 /// and the storage stays `O(pool)`, not `O(design)`, in `SegCtx`s.
 ///
-/// Inserts for segments outside the pool are dropped: neighbor-net
-/// context is computed whole-net, but only the pooled (edge-sharing)
-/// segments are ever looked up.
+/// Inserts for segments outside the pool are dropped: context is
+/// computed whole-net, but only pooled segments are ever looked up.
 #[derive(Clone, Debug, Default)]
 pub struct SegCtxTable {
     /// Net `n`'s segments occupy global ids
@@ -126,7 +125,7 @@ impl SegCtxTable {
 
 /// Builds the frozen context of every segment of `nets` into `table`,
 /// with an optional weight scale applied to each context before it
-/// lands (the neighbor-net damping).
+/// lands.
 ///
 /// `focus` is the criticality exponent: sink `k` receives weight
 /// `(delay_k / delay_max)^focus`, so `focus = 0` reproduces TILA-style

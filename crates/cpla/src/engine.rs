@@ -76,16 +76,6 @@ pub struct CplaConfig {
     /// in the objective. 0 degenerates to TILA's uniform sum; larger
     /// values concentrate on the critical paths.
     pub focus: f64,
-    /// Also release *non-critical* segments that share routing edges
-    /// with the critical set (the CPLA problem statement re-assigns
-    /// "critical and non-critical nets"). Their delays enter the
-    /// objective scaled by [`CplaConfig::neighbor_weight`], so the
-    /// solver may demote them off premium layers when that frees
-    /// capacity a critical path needs.
-    pub release_neighbors: bool,
-    /// Objective weight of neighbor (non-critical) segments relative to
-    /// critical ones.
-    pub neighbor_weight: f64,
     /// Worker threads for partition solving, and shards for the
     /// Partition stage's top-level K×K block grid. Results are
     /// identical for every count.
@@ -124,8 +114,6 @@ impl Default for CplaConfig {
             alpha: 20.0,
             overflow_price: 0.5,
             focus: 4.0,
-            release_neighbors: false,
-            neighbor_weight: 0.2,
             threads: 1,
             audit_invariants: false,
             alloc_stats: false,
@@ -174,13 +162,6 @@ impl CplaConfig {
                 field: "focus",
                 value: format!("{}", self.focus),
                 reason: "the criticality exponent must be finite and non-negative",
-            });
-        }
-        if !self.neighbor_weight.is_finite() || self.neighbor_weight < 0.0 {
-            return Err(ConfigError {
-                field: "neighbor_weight",
-                value: format!("{}", self.neighbor_weight),
-                reason: "the neighbor objective weight must be finite and non-negative",
             });
         }
         Ok(())
@@ -589,69 +570,6 @@ mod tests {
         assert_eq!(s.evaluations, last.evaluations);
         assert_eq!(s.gate_accepted, last.gate_accepted);
         assert_eq!(s.gate_rejected, last.gate_rejected);
-    }
-
-    #[test]
-    fn neighbor_release_demotes_blocking_net() {
-        // Capacity 1 per layer: a short non-critical net parked on the
-        // top horizontal layer blocks the long critical net's promotion
-        // unless neighbor release may demote it.
-        let mut grid = GridBuilder::new(32, 4)
-            .alternating_layers(6, Direction::Horizontal)
-            .uniform_capacity(1)
-            .build()
-            .unwrap();
-        let specs = vec![
-            NetSpec::new(
-                "critical",
-                vec![
-                    Pin::source(Cell::new(0, 1), 0.0),
-                    Pin::sink(Cell::new(30, 1), 4.0),
-                ],
-            ),
-            NetSpec::new(
-                "blocker",
-                vec![
-                    Pin::source(Cell::new(8, 1), 0.0),
-                    Pin::sink(Cell::new(14, 1), 0.5),
-                ],
-            ),
-        ];
-        let nl = route_netlist(&grid, &specs, &RouterConfig::default());
-        let mut a = initial_assignment(&mut grid, &nl);
-        // Park the blocker on the top horizontal layer (4) explicitly.
-        net::remove_net_from_grid(&mut grid, nl.net(1), a.net_layers(1));
-        a.set_net_layers(1, vec![4]);
-        net::restore_net_to_grid(&mut grid, nl.net(1), a.net_layers(1));
-        // And the critical net on the bottom.
-        net::remove_net_from_grid(&mut grid, nl.net(0), a.net_layers(0));
-        a.set_net_layers(0, vec![0]);
-        net::restore_net_to_grid(&mut grid, nl.net(0), a.net_layers(0));
-
-        let run = |neighbors: bool, grid: &mut Grid, a: &mut Assignment| {
-            Cpla::new(CplaConfig {
-                release_neighbors: neighbors,
-                ..CplaConfig::default()
-            })
-            .run_released(grid, &nl, a, &[0])
-            .unwrap()
-            .final_metrics
-            .avg_tcp
-        };
-        let mut g1 = grid.clone();
-        let mut a1 = a.clone();
-        let without = run(false, &mut g1, &mut a1);
-        let mut g2 = grid.clone();
-        let mut a2 = a.clone();
-        let with = run(true, &mut g2, &mut a2);
-        assert!(
-            with < without,
-            "neighbor release must unlock the blocked promotion: \
-             {with} vs {without}"
-        );
-        // The blocker was demoted off layer 4.
-        assert_ne!(a2.net_layers(1), &[4]);
-        a2.validate(&nl, &g2).unwrap();
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! from the run's counters at the end.
 
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -74,9 +74,7 @@ struct FlowContext<'a> {
     released: &'a [usize],
 
     // Run-wide derived state.
-    is_released: HashSet<usize>,
     segments: Vec<SegmentRef>,
-    neighbor_nets: Vec<usize>,
     /// Flat id layout of the whole design: the dense context table and
     /// the sharded partitioner index through its CSR ranges.
     arena: net::DesignArena,
@@ -131,12 +129,11 @@ impl<'a> FlowContext<'a> {
         released: &'a [usize],
         initial_metrics: Metrics,
     ) -> FlowContext<'a> {
-        let is_released: HashSet<usize> = released.iter().copied().collect();
         // Electrical parameters are usage-independent, so one snapshot
         // serves the timing gate for the whole run.
         let model = TimingModel::from_grid(grid);
 
-        let mut segments: Vec<SegmentRef> = released
+        let segments: Vec<SegmentRef> = released
             .iter()
             .flat_map(|&ni| {
                 let n = netlist.net(ni).tree().num_segments();
@@ -144,42 +141,6 @@ impl<'a> FlowContext<'a> {
                 (0..n).map(move |s| SegmentRef::new(ni as u32, s as u32))
             })
             .collect();
-
-        // Optionally widen the pool with non-critical segments sharing
-        // routing edges with the critical set; they become movable
-        // obstacles whose delay matters only lightly.
-        let neighbor_nets: Vec<usize> = if config.release_neighbors {
-            let covered: HashSet<grid::Edge2d> = segments
-                .iter()
-                .flat_map(|&r| {
-                    netlist
-                        .net(r.net as usize)
-                        .tree()
-                        .segment_edges(r.seg as usize)
-                })
-                .collect();
-            let mut nets = Vec::new();
-            for ni in 0..netlist.len() {
-                if is_released.contains(&ni) {
-                    continue;
-                }
-                let tree = netlist.net(ni).tree();
-                let mut touched = false;
-                for s in 0..tree.num_segments() {
-                    if tree.segment_edges(s).iter().any(|e| covered.contains(e)) {
-                        // cast: net/segment ordinals come from the u32-indexed arena.
-                        segments.push(SegmentRef::new(ni as u32, s as u32));
-                        touched = true;
-                    }
-                }
-                if touched {
-                    nets.push(ni);
-                }
-            }
-            nets
-        } else {
-            Vec::new()
-        };
 
         // One arena + slot map for the whole run: the pool is fixed
         // across rounds, so Select only rewrites pooled slots.
@@ -197,9 +158,7 @@ impl<'a> FlowContext<'a> {
             netlist,
             assignment,
             released,
-            is_released,
             segments,
-            neighbor_nets,
             arena,
             model,
             cache: HashMap::new(),
@@ -244,12 +203,11 @@ const STAGES: [(Stage, StageFn); 8] = [
     (Stage::Measure, measure),
 ];
 
-/// Select: freezes the weighted timing context of the released (and
-/// neighbor) segments for this round.
+/// Select: freezes the weighted timing context of the released
+/// segments for this round.
 fn select(ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
-    // Every pooled slot is rewritten below (released nets cover
-    // their whole pooled range, neighbor fills cover every touched
-    // segment), so the table needs no per-round clear.
+    // Every pooled slot is rewritten below (the pool is exactly the
+    // released nets' segments), so the table needs no per-round clear.
     timing_context_into(
         ctx.grid,
         ctx.netlist,
@@ -259,17 +217,6 @@ fn select(ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         None,
         &mut ctx.cd,
     );
-    if !ctx.neighbor_nets.is_empty() {
-        timing_context_into(
-            ctx.grid,
-            ctx.netlist,
-            ctx.assignment,
-            &ctx.neighbor_nets,
-            ctx.config.focus,
-            Some(ctx.config.neighbor_weight),
-            &mut ctx.cd,
-        );
-    }
     Ok(())
 }
 
@@ -569,31 +516,14 @@ fn gate(ctx: &mut FlowContext<'_>) -> Result<(), FlowError> {
         if real.is_empty() {
             continue;
         }
-        // Gate *critical* nets on their exact Elmore delay: the
-        // partition objective ranks with frozen downstream caps, so a
-        // mapped win can still be an exact-timing loss. Neighbor nets
-        // bypass the gate — demoting them off premium layers raises
-        // their own delay by design.
-        let layers = if ctx.is_released.contains(&ni) {
-            match timing_gate(&ctx.model, net, &current, &real) {
-                Some(layers) => {
-                    ctx.counters.gate_accepted += 1;
-                    layers
-                }
-                None => {
-                    ctx.counters.gate_rejected += 1;
-                    continue;
-                }
-            }
-        } else {
-            // alloc: the new per-net layer vector is the pending commit
-            // payload, retained in `ctx.pending`.
-            let mut layers = current.clone();
-            for (s, l) in real {
-                layers[s] = l;
-            }
-            layers
+        // Gate every net on its exact Elmore delay: the partition
+        // objective ranks with frozen downstream caps, so a mapped win
+        // can still be an exact-timing loss.
+        let Some(layers) = timing_gate(&ctx.model, net, &current, &real) else {
+            ctx.counters.gate_rejected += 1;
+            continue;
         };
+        ctx.counters.gate_accepted += 1;
         ctx.pending.push((ni, current, layers));
     }
     // Optional paranoia gate: before any pending change lands,

@@ -35,9 +35,7 @@ use crate::problem::PartitionProblem;
 /// worse.
 ///
 /// Returns the full new layer vector on acceptance, `None` on rejection
-/// (the caller keeps `layers` as-is). Only *critical* (released) nets
-/// should be gated: neighbor nets are deliberately demoted to free
-/// capacity, which raises their own delay by design.
+/// (the caller keeps `layers` as-is).
 ///
 /// # Panics
 ///

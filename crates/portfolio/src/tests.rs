@@ -57,7 +57,6 @@ fn cpla_box() -> Box<dyn LayerAssigner + Send + Sync> {
     Box::new(Cpla::new(CplaConfig {
         critical_ratio: RATIO,
         threads: 1,
-        release_neighbors: false,
         ..CplaConfig::default()
     }))
 }

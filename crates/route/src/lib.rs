@@ -6,10 +6,11 @@
 //! scratch:
 //!
 //! 1. [`route_spec`] / [`route_netlist`] — rectilinear Steiner topology
-//!    construction per net (closest-point attachment with
-//!    congestion-aware L-shape choice and an optional maze fallback).
+//!    construction per net (closest-point attachment with a
+//!    congestion-aware choice among L/Z pattern candidates and an
+//!    optional maze fallback).
 //! 2. [`maze`] — a congestion-weighted shortest-path router used when
-//!    pattern routes would overflow.
+//!    the cheapest pattern candidate crosses a full edge.
 //! 3. [`initial_assignment`] — the net-by-net dynamic-programming layer
 //!    assignment in the style of congestion-constrained via-minimization
 //!    (Lee & Wang, TCAD'08 — reference \[5\] of the paper), which is the

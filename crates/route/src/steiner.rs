@@ -3,9 +3,11 @@
 //! Nets are routed one at a time with the classic closest-point
 //! attachment heuristic: grow the tree from the source, and repeatedly
 //! connect the unrouted sink nearest to the tree at the tree point
-//! nearest to it. Two-point connections prefer the less congested of the
-//! two L-shapes and fall back to a congestion-weighted maze route when
-//! both L-shapes would overflow.
+//! nearest to it. A two-point connection takes the cheapest of its two
+//! L-shapes and sampled Z-shapes under the congestion cost; when that
+//! candidate crosses an edge already at or beyond capacity, a
+//! congestion-weighted maze route replaces it if the maze path is
+//! cheaper.
 //!
 //! Because every attachment starts at the *closest* tree point and L/maze
 //! legs strictly reduce (L) or never revisit (maze with forbidden tree
@@ -86,12 +88,7 @@ impl CongestionMap {
     }
 
     fn index(&self, e: Edge2d) -> usize {
-        match e.dir {
-            Direction::Horizontal => {
-                e.cell.y as usize * (self.width as usize - 1) + e.cell.x as usize
-            }
-            Direction::Vertical => e.cell.y as usize * self.width as usize + e.cell.x as usize,
-        }
+        maze::edge_ordinal(self.width, e)
     }
 
     /// Current usage of `e`.
@@ -122,8 +119,17 @@ impl CongestionMap {
     /// Routing cost of `e` under `config`: base 1 plus congestion-scaled
     /// terms.
     pub fn cost(&self, e: Edge2d, config: &RouterConfig) -> f64 {
-        let u = self.usage(e) as f64;
-        let c = self.capacity(e) as f64;
+        self.cost_at(e.dir, self.index(e), config)
+    }
+
+    /// [`CongestionMap::cost`] of the edge of direction `dir` with index
+    /// `i` (the [`maze`] edge layout).
+    fn cost_at(&self, dir: Direction, i: usize, config: &RouterConfig) -> f64 {
+        let (u, c) = match dir {
+            Direction::Horizontal => (self.h_use[i], self.h_cap[i]),
+            Direction::Vertical => (self.v_use[i], self.v_cap[i]),
+        };
+        let (u, c) = (u as f64, c as f64);
         let mut cost = 1.0 + config.congestion_weight * u / (c + 1.0);
         if u >= c {
             cost += config.overflow_penalty;
@@ -195,72 +201,80 @@ fn pattern_candidates(from: Cell, to: Cell, z_samples: usize) -> Vec<Vec<Cell>> 
     out
 }
 
+/// The unit steps of a rectilinear path from a start cell through its
+/// axis-aligned `waypoints`: each step's edge and the cell it reaches,
+/// in path order.
+struct PathSteps<'a> {
+    cur: Cell,
+    waypoints: &'a [Cell],
+}
+
+fn path_steps(from: Cell, waypoints: &[Cell]) -> PathSteps<'_> {
+    PathSteps {
+        cur: from,
+        waypoints,
+    }
+}
+
+impl Iterator for PathSteps<'_> {
+    type Item = (Edge2d, Cell);
+
+    fn next(&mut self) -> Option<(Edge2d, Cell)> {
+        let w = loop {
+            let (&w, rest) = self.waypoints.split_first()?;
+            if w != self.cur {
+                break w;
+            }
+            self.waypoints = rest;
+        };
+        let prev = self.cur;
+        self.cur = if prev.x != w.x {
+            Cell::new(if prev.x < w.x { prev.x + 1 } else { prev.x - 1 }, prev.y)
+        } else {
+            Cell::new(prev.x, if prev.y < w.y { prev.y + 1 } else { prev.y - 1 })
+        };
+        let edge = if prev.y == self.cur.y {
+            Edge2d::horizontal(prev.x.min(self.cur.x), prev.y)
+        } else {
+            Edge2d::vertical(prev.x, prev.y.min(self.cur.y))
+        };
+        Some((edge, self.cur))
+    }
+}
+
 /// Sums edge costs along a rectilinear multi-leg path.
-fn path_cost(
-    cong: &CongestionMap,
-    config: &RouterConfig,
-    mut from: Cell,
-    waypoints: &[Cell],
-) -> f64 {
+fn path_cost(cong: &CongestionMap, config: &RouterConfig, from: Cell, waypoints: &[Cell]) -> f64 {
     let mut total = 0.0;
-    for &w in waypoints {
-        let mut cur = from;
-        while cur != w {
-            let next = if cur.x < w.x {
-                Cell::new(cur.x + 1, cur.y)
-            } else if cur.x > w.x {
-                Cell::new(cur.x - 1, cur.y)
-            } else if cur.y < w.y {
-                Cell::new(cur.x, cur.y + 1)
-            } else {
-                Cell::new(cur.x, cur.y - 1)
-            };
-            // invariant: `next` steps one cell toward `w`.
-            total += cong.cost(Edge2d::between(cur, next).expect("adjacent"), config);
-            cur = next;
-        }
-        from = w;
+    for (e, _) in path_steps(from, waypoints) {
+        total += cong.cost(e, config);
     }
     total
 }
 
 /// Whether any edge along the path is already at or beyond capacity.
-fn path_overflows(cong: &CongestionMap, mut from: Cell, waypoints: &[Cell]) -> bool {
-    for &w in waypoints {
-        let mut cur = from;
-        while cur != w {
-            let next = if cur.x < w.x {
-                Cell::new(cur.x + 1, cur.y)
-            } else if cur.x > w.x {
-                Cell::new(cur.x - 1, cur.y)
-            } else if cur.y < w.y {
-                Cell::new(cur.x, cur.y + 1)
-            } else {
-                Cell::new(cur.x, cur.y - 1)
-            };
-            // invariant: `next` steps one cell toward `w`.
-            let e = Edge2d::between(cur, next).expect("adjacent");
-            if cong.usage(e) >= cong.capacity(e) {
-                return true;
-            }
-            cur = next;
-        }
-        from = w;
-    }
-    false
+fn path_overflows(cong: &CongestionMap, from: Cell, waypoints: &[Cell]) -> bool {
+    path_steps(from, waypoints).any(|(e, _)| cong.usage(e) >= cong.capacity(e))
 }
 
 /// Closest point of the current tree to `target`: either an existing node
-/// or a cell interior to a segment (which must then be split).
-fn closest_tree_point(builder: &RouteTreeBuilder, tree_cells: &[Cell], target: Cell) -> Cell {
-    // All tree cells (node cells plus segment interiors) are maintained
-    // by the caller in `tree_cells`.
-    let _ = builder;
+/// or a cell interior to a segment (which must then be split). The caller
+/// keeps every tree cell (node cells plus segment interiors) in
+/// `tree_cells`.
+fn closest_tree_point(tree_cells: &[Cell], target: Cell) -> Cell {
     *tree_cells
         .iter()
         .min_by_key(|c| c.manhattan(target))
         // invariant: callers seed `tree_cells` with the source cell.
         .expect("tree has at least the root cell")
+}
+
+/// Buffers one routing run reuses across its nets: the maze search's
+/// and the mask of the current net's own tree edges (forbidden to the
+/// maze, which must not cover a tree edge twice).
+#[derive(Default)]
+struct RouteScratch {
+    maze: maze::MazeScratch,
+    tree_edges: maze::EdgeMask,
 }
 
 /// Routes one net spec into a [`Net`], updating `congestion`.
@@ -277,6 +291,17 @@ pub fn route_spec(
     spec: &NetSpec,
     congestion: &mut CongestionMap,
     config: &RouterConfig,
+) -> Option<Net> {
+    route_spec_with(grid, spec, congestion, config, &mut RouteScratch::default())
+}
+
+/// [`route_spec`] with caller-owned search buffers.
+fn route_spec_with(
+    grid: &Grid,
+    spec: &NetSpec,
+    congestion: &mut CongestionMap,
+    config: &RouterConfig,
+    scratch: &mut RouteScratch,
 ) -> Option<Net> {
     // Deduplicate pins by cell, keeping the source first.
     let mut pins = Vec::with_capacity(spec.pins.len());
@@ -299,7 +324,9 @@ pub fn route_spec(
     // Tree geometry bookkeeping: every covered cell, and covered edges
     // (forbidden to the maze fallback).
     let mut tree_cells: Vec<Cell> = vec![source.cell];
-    let mut tree_edges: HashSet<Edge2d> = HashSet::new();
+    scratch
+        .tree_edges
+        .clear_for_grid(grid.width(), grid.height());
 
     let mut remaining: Vec<usize> = (1..pins.len()).collect();
     while !remaining.is_empty() {
@@ -319,7 +346,7 @@ pub fn route_spec(
         remaining.swap_remove(pos);
         let target = pins[pin_idx].cell;
 
-        let attach_cell = closest_tree_point(&builder, &tree_cells, target);
+        let attach_cell = closest_tree_point(&tree_cells, target);
 
         // Candidate connection paths from the attach point.
         let waypoints = if attach_cell == target {
@@ -337,23 +364,22 @@ pub fn route_spec(
                 }
             }
             if config.maze_fallback && path_overflows(congestion, attach_cell, &best) {
+                let cong = &*congestion;
                 if let Some(path) = maze::find_path(
+                    &mut scratch.maze,
                     grid.width(),
                     grid.height(),
                     attach_cell,
                     target,
-                    |e| congestion.cost(e, config),
-                    &tree_edges,
+                    |dir, i| cong.cost_at(dir, i, config),
+                    &scratch.tree_edges,
                 ) {
-                    let mw = maze::path_waypoints(&path);
-                    let mc = path_cost(congestion, config, attach_cell, &mw);
-                    if mc < best_cost {
+                    let mw = maze::path_waypoints(path);
+                    if path_cost(congestion, config, attach_cell, &mw) < best_cost {
                         best = mw;
-                        best_cost = mc;
                     }
                 }
             }
-            let _ = best_cost;
             best
         };
 
@@ -377,34 +403,17 @@ pub fn route_spec(
         let end_node = if waypoints.is_empty() {
             attach_node
         } else {
-            let before = builder.num_nodes();
             let end = builder
                 .add_path(attach_node, &waypoints)
                 // invariant: pattern_candidates and path_waypoints only
                 // emit axis-aligned waypoint sequences.
                 .expect("waypoints are rectilinear by construction");
             // Record new geometry.
-            let mut cur = attach_cell;
-            for &w in &waypoints {
-                while cur != w {
-                    let next = if cur.x < w.x {
-                        Cell::new(cur.x + 1, cur.y)
-                    } else if cur.x > w.x {
-                        Cell::new(cur.x - 1, cur.y)
-                    } else if cur.y < w.y {
-                        Cell::new(cur.x, cur.y + 1)
-                    } else {
-                        Cell::new(cur.x, cur.y - 1)
-                    };
-                    // invariant: `next` steps one cell toward `w`.
-                    let e = Edge2d::between(cur, next).expect("adjacent");
-                    congestion.add(e);
-                    tree_edges.insert(e);
-                    tree_cells.push(next);
-                    cur = next;
-                }
+            for (e, next) in path_steps(attach_cell, &waypoints) {
+                congestion.add(e);
+                scratch.tree_edges.mark(e);
+                tree_cells.push(next);
             }
-            let _ = before;
             end
         };
         builder
@@ -423,13 +432,14 @@ pub fn route_spec(
     Some(net)
 }
 
-/// Routes every spec in order, sharing one congestion map. Nets that
-/// collapse to a single cell are dropped.
+/// Routes every spec in order, sharing one congestion map and one set
+/// of maze buffers. Nets that collapse to a single cell are dropped.
 pub fn route_netlist(grid: &Grid, specs: &[NetSpec], config: &RouterConfig) -> Netlist {
     let mut congestion = CongestionMap::from_grid(grid);
+    let mut scratch = RouteScratch::default();
     let mut netlist = Netlist::new();
     for spec in specs {
-        if let Some(net) = route_spec(grid, spec, &mut congestion, config) {
+        if let Some(net) = route_spec_with(grid, spec, &mut congestion, config, &mut scratch) {
             netlist.push(net);
         }
     }

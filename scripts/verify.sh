@@ -62,6 +62,14 @@ cargo build --release --offline -p cpla-bench
     --metrics target/obs-metrics.txt --bench target/BENCH_cpla.json \
     --baseline BENCH_cpla.json
 
+echo "==> results binaries: each must exit 0 (output discarded)"
+# Output goes to /dev/null, so the committed results/ files are not
+# rewritten; `set -e` stops at the first binary that fails.
+for bin in table2 fig1 fig7 fig8 fig9 ablation; do
+    echo "    $bin"
+    ./target/release/$bin >/dev/null
+done
+
 echo "==> conformance: cpla-conform --trials 200 --seed 42"
 cargo build --release --offline -p conform
 ./target/release/cpla-conform --trials 200 --seed 42

@@ -28,7 +28,6 @@ fn backends(cancel: &Cancel) -> Vec<Box<dyn LayerAssigner + Send + Sync>> {
     vec![
         Box::new(cpla::Cpla::new(cpla::CplaConfig {
             critical_ratio: RATIO,
-            release_neighbors: false,
             ..cpla::CplaConfig::default()
         })),
         Box::new(tila::Tila::new(tila::TilaConfig {
